@@ -36,6 +36,10 @@ EXIT_CONVERGENCE = 4
 
 
 def _cmd_fit(args) -> int:
+    if not 0.0 < args.level < 1.0:
+        raise ValidationError("--level must be in (0, 1)")
+    if args.bootstrap < 0 or args.bootstrap == 1:
+        raise ValidationError("--bootstrap must be 0 (no interval) or at least 2")
     data = read_dataset_csv(args.data)
     result = nppr_fit(data)
     boot = None
@@ -51,22 +55,33 @@ def _ci_dict(ci):
     return {"lower": ci.lower, "upper": ci.upper, "level": ci.level}
 
 
+def _finite(x):
+    """x, or None (JSON null) where it is NaN or infinite."""
+    return x if math.isfinite(x) else None
+
+
+def _dump_json(payload) -> None:
+    json.dump(payload, sys.stdout, indent=1, allow_nan=False)
+    sys.stdout.write("\n")
+
+
 def _cmd_ppr_fit(args) -> int:
     data = read_dataset_csv(args.data)
     fit = fit_ppr(data)
+    # without a maximum the parameters are the search's start point, not estimates
+    estimate = _finite if fit.converged else lambda x: None
     payload = {
-        "alpha": fit.params.alpha,
-        "theta1": fit.params.theta1,
-        "theta0": fit.params.theta0,
-        "beta": fit.beta,
-        "rr": fit.rr,
+        "alpha": estimate(fit.params.alpha),
+        "theta1": estimate(fit.params.theta1),
+        "theta0": estimate(fit.params.theta0),
+        "beta": estimate(fit.beta),
+        "rr": estimate(fit.rr),
         "ci_beta": None if math.isnan(fit.ci_beta.lower) else _ci_dict(fit.ci_beta),
-        "loglik": fit.loglik,
+        "loglik": _finite(fit.loglik),
         "converged": fit.converged,
         "reason": fit.reason,
     }
-    json.dump(payload, sys.stdout, indent=1, allow_nan=True)
-    sys.stdout.write("\n")
+    _dump_json(payload)
     return EXIT_OK if fit.converged else EXIT_CONVERGENCE
 
 
@@ -74,14 +89,13 @@ def _cmd_cox(args) -> int:
     data = read_dataset_csv(args.data)
     fit = cox_two_group(data)
     payload = {
-        "log_hr": fit.log_hr,
-        "hr": fit.hr,
+        "log_hr": _finite(fit.log_hr),
+        "hr": _finite(fit.hr),
         "ci_hr": None if math.isnan(fit.ci_hr.lower) else _ci_dict(fit.ci_hr),
         "converged": fit.converged,
         "reason": fit.reason,
     }
-    json.dump(payload, sys.stdout, indent=1, allow_nan=True)
-    sys.stdout.write("\n")
+    _dump_json(payload)
     return EXIT_OK if fit.converged else EXIT_CONVERGENCE
 
 
@@ -100,6 +114,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_study(args) -> int:
+    if args.bootstrap < 2:
+        raise ValidationError("--bootstrap must be at least 2")
     scenarios = default_grid() if args.grid == "default" else load_grid(args.grid)
     scenarios = reseed(scenarios, args.seed)
     results = []

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import optimize, stats
 
 from .bootstrap import ConfidenceInterval
-from .survival import Dataset
+from .survival import Dataset, event_grid, events_at_risk
 
 
 @dataclass(frozen=True)
@@ -322,22 +322,6 @@ class CoxFit:
     reason: str = ""
 
 
-def _cox_event_table(data: Dataset):
-    """Per distinct event time: total events, group-1 events, at-risk sizes."""
-    order = np.argsort(data.time, kind="stable")
-    t = data.time[order]
-    e = data.status[order]
-    g = data.group[order]
-    uniq, first_idx = np.unique(t, return_index=True)
-    d = np.add.reduceat(e, first_idx)
-    d1 = np.add.reduceat(e * g, first_idx)
-    at_risk = t.shape[0] - first_idx
-    n1 = np.cumsum(g[::-1])[::-1]  # group-1 subjects with time >= t, per row
-    n1_at = n1[first_idx]
-    keep = d > 0
-    return d[keep], d1[keep], at_risk[keep], n1_at[keep]
-
-
 def cox_two_group(data: Dataset, level: float = 0.95) -> CoxFit:
     """Cox partial-likelihood fit of the single group indicator.
 
@@ -346,7 +330,9 @@ def cox_two_group(data: Dataset, level: float = 0.95) -> CoxFit:
     before any of the other's in risk-set terms) do not converge and are
     reported as such.
     """
-    d, d1, n_at, n1_at = _cox_event_table(data)
+    events, at_risk = events_at_risk(event_grid(data).table())
+    d, d1 = events.sum(axis=1), events[:, 1]
+    n_at, n1_at = at_risk.sum(axis=1), at_risk[:, 1]
     if d.size == 0 or np.sum(d1) == 0 or np.sum(d1) == np.sum(d):
         return CoxFit(math.nan, math.nan, ConfidenceInterval(math.nan, math.nan, level), False, "a group has no events")
 

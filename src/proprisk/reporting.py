@@ -31,7 +31,7 @@ REQUIRED_COLUMNS = ("time", "status", "group")
 def read_dataset_csv(path) -> Dataset:
     """Parse and validate a per-subject CSV file."""
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     with fh:

@@ -190,6 +190,53 @@ def km_from_arrays(times: np.ndarray, status: np.ndarray) -> SurvivalCurve:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class EventGrid:
+    """The distinct event times of a dataset and each row's cell in them.
+
+    A row's cell code is ``(bin * 2 + group) * 2 + status`` with
+    ``bin = searchsorted(event_times, time, side="right")``: bin 0 holds
+    the times before the first event, and event time j sits in bin j + 1
+    together with the censorings after it and before the next event time.
+    Any row subset or resample counts into the same (K + 1, 2, 2) table, so
+    ties are aggregated here once for every consumer.
+    """
+
+    event_times: np.ndarray
+    cell: np.ndarray
+
+    @property
+    def n_cells(self) -> int:
+        """Cells of one count table, 4 * (K + 1)."""
+        return 4 * (self.event_times.shape[0] + 1)
+
+    def table(self, rows=None) -> np.ndarray:
+        """Count table (bin, group, status) of the whole dataset, or one
+        table per row of ``rows``, a (B, n) array of row indices: shape
+        (K + 1, 2, 2) or (B, K + 1, 2, 2)."""
+        if rows is None:
+            return np.bincount(self.cell, minlength=self.n_cells).reshape(-1, 2, 2)
+        b = rows.shape[0]
+        codes = self.cell[rows] + self.n_cells * np.arange(b)[:, None]
+        return np.bincount(codes.ravel(), minlength=b * self.n_cells).reshape(b, -1, 2, 2)
+
+
+def event_grid(data: Dataset) -> EventGrid:
+    """The shared event-time grid of a dataset (see ``EventGrid``)."""
+    event_times = np.unique(data.time[data.status == 1])
+    bins = np.searchsorted(event_times, data.time, side="right")
+    return EventGrid(_frozen(event_times), _frozen((bins * 2 + data.group) * 2 + data.status))
+
+
+def events_at_risk(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Events and at-risk sizes per event time and group of a count table
+    (..., K + 1, 2, 2), both (..., K, 2). A row censored at an event time
+    is still at risk there."""
+    rows = table[..., 0] + table[..., 1]  # not .sum(axis=-1): slow over a length-2 axis
+    at_risk = np.cumsum(rows[..., ::-1, :], axis=-2)[..., ::-1, :]
+    return table[..., 1:, :, 1], at_risk[..., 1:, :]
+
+
 def kaplan_meier(data: Dataset, group: int) -> SurvivalCurve:
     """Kaplan-Meier curve of one group of a Dataset."""
     times, status = data.group_arrays(group)

@@ -6,10 +6,18 @@ import pytest
 from proprisk import (
     BootstrapConfig,
     EstimationError,
+    Model,
     empirical_quantile,
+    make_scenario,
+    nppr_fit,
     percentile_bootstrap,
+    read_dataset_csv,
+    simulate_dataset,
     validate_dataset,
 )
+from proprisk.bootstrap import _resample_betas
+from proprisk.simulate import default_grid_path
+from proprisk.survival import event_grid
 
 
 def _two_arm_data(seed=3, n=120):
@@ -118,3 +126,87 @@ class TestPercentileBootstrap:
         a = percentile_bootstrap(data, cfg, weighting="cumhaz")
         b = percentile_bootstrap(data, cfg, weighting="delta")
         assert not np.array_equal(a.betas, b.betas)
+
+
+def _scalar_resamples(data, cfg, weighting):
+    """The reference path: each resample redrawn from its SeedSequence child
+    and fitted by the scalar nppr_fit. Returns (betas, failed indices)."""
+    n = len(data)
+    betas, failed = [], []
+    for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.n_resamples)):
+        idx = np.random.default_rng(child).integers(0, n, size=n)
+        try:
+            betas.append(nppr_fit(data.take(idx), weighting).estimate.beta)
+        except EstimationError:
+            failed.append(i)
+    return np.asarray(betas), failed
+
+
+def _batched_failed(data, cfg, weighting):
+    """Indices of the resamples the batched fit marks as failed."""
+    n = len(data)
+    rows = np.stack([
+        np.random.default_rng(c).integers(0, n, size=n)
+        for c in np.random.SeedSequence(cfg.seed).spawn(cfg.n_resamples)
+    ])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        betas = _resample_betas(event_grid(data).table(rows), weighting)
+    return np.flatnonzero(np.isnan(betas)).tolist()
+
+
+def _tied_data():
+    # event times shared by both groups, several events per tie, and
+    # censorings tied with events
+    rng = np.random.default_rng(5)
+    time = rng.integers(1, 13, size=80).astype(float)
+    status = (rng.random(80) < 0.7).astype(int)
+    group = np.arange(80) % 2
+    return validate_dataset(list(zip(time, status, group)))
+
+
+def _five_rows():
+    return validate_dataset([(1.0, 1, 1), (1.5, 1, 0), (2.0, 1, 1), (2.5, 1, 0), (3.0, 0, 1)])
+
+
+def _replicate(effect, censoring, n, rep):
+    sc = make_scenario(Model.PPR_EU, effect, censoring, n, seed=20240801)
+    return simulate_dataset(sc, rep)
+
+
+EQUIVALENCE_CASES = {
+    "five_rows": (_five_rows, 60, 17),
+    "tied_times": (_tied_data, 200, 3),
+    "pr00_c70_n50_rep0": (lambda: _replicate(0.0, 0.7, 50, 0), 250, 100),
+    "pr00_c70_n50_rep1": (lambda: _replicate(0.0, 0.7, 50, 1), 250, 101),
+    "pr00_c70_n50_rep2": (lambda: _replicate(0.0, 0.7, 50, 2), 250, 102),
+    "pr025_c30_n500": (lambda: _replicate(0.25, 0.3, 500, 0), 250, 7),
+    "trial": (lambda: read_dataset_csv(default_grid_path().parent / "synthetic_trial.csv"), 500, 0),
+}
+
+
+class TestBatchedEqualsScalar:
+    """The batched resample fit against one scalar nppr_fit per resample:
+    |dbeta| <= 1e-12 and the same failed resamples."""
+
+    @pytest.mark.parametrize("weighting", ["cumhaz", "delta"])
+    @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+    def test_equivalence_gate(self, case, weighting):
+        make, n_resamples, seed = EQUIVALENCE_CASES[case]
+        data = make()
+        cfg = BootstrapConfig(n_resamples=n_resamples, seed=seed, min_success_fraction=0.0)
+        ref_betas, ref_failed = _scalar_resamples(data, cfg, weighting)
+        r = percentile_bootstrap(data, cfg, weighting)
+        assert _batched_failed(data, cfg, weighting) == ref_failed
+        assert r.n_failed == len(ref_failed)
+        assert r.betas.shape == ref_betas.shape
+        assert np.max(np.abs(r.betas - ref_betas), initial=0.0) <= 1e-12
+
+    def test_gate_cases_exercise_failures_and_ties(self):
+        cfg = BootstrapConfig(n_resamples=250, seed=100, min_success_fraction=0.0)
+        assert _scalar_resamples(_replicate(0.0, 0.7, 50, 0), cfg, "cumhaz")[1]
+        assert _scalar_resamples(_five_rows(), cfg, "cumhaz")[1]
+        tied = _tied_data()
+        events = tied.time[tied.status == 1]
+        t1 = set(events[tied.group[tied.status == 1] == 1])
+        t0 = set(events[tied.group[tied.status == 1] == 0])
+        assert len(t1 & t0) >= 5 and np.unique(events).size < events.size

@@ -68,6 +68,22 @@ class TestFit:
         code, _ = run_cli("fit", "--data", str(path), "--bootstrap", "0")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--bootstrap", "1"),
+            ("--bootstrap", "-5"),
+            ("--level", "1.5"),
+            ("--level", "0"),
+            ("--level", "1.5", "--bootstrap", "0"),
+        ],
+    )
+    def test_bad_bootstrap_flags_exit_code(self, data_csv, flags, capsys):
+        code, out = run_cli("fit", "--data", data_csv, *flags)
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: --")
+
 
 class TestParametricCommands:
     def test_ppr_fit(self, data_csv):
@@ -94,6 +110,26 @@ class TestParametricCommands:
         code, out = run_cli("cox", "--data", str(path))
         assert code == 4
         assert not json.loads(out)["converged"]
+
+    @pytest.mark.parametrize(
+        "command, nulls",
+        [
+            ("ppr-fit", ("alpha", "theta1", "theta0", "beta", "rr", "ci_beta", "loglik")),
+            ("cox", ("log_hr", "hr", "ci_hr")),
+        ],
+    )
+    def test_nonconvergence_output_is_strict_json(self, tmp_path, command, nulls):
+        path = tmp_path / "noevents0.csv"  # group 0 has no events
+        path.write_text("time,status,group\n1.0,1,1\n2.0,0,0\n3.0,1,1\n")
+        code, out = run_cli(command, "--data", str(path))
+        assert code == 4
+        def reject(name):
+            raise ValueError(f"non-finite number {name} in output")
+        payload = json.loads(out, parse_constant=reject)
+        assert not payload["converged"]
+        assert payload["reason"] == "a group has no events"
+        for key in nulls:
+            assert payload[key] is None, key
 
 
 class TestSimulateCommand:
@@ -125,6 +161,12 @@ class TestSimulateCommand:
 
 
 class TestStudyCommand:
+    def test_bad_bootstrap_exit_code(self, capsys):
+        code, out = run_cli("study", "--grid", "default", "--reps", "1", "--bootstrap", "1", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: --bootstrap")
+
     def test_small_grid(self, tmp_path):
         from proprisk.simulate import scenario_to_dict
 

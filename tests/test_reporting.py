@@ -47,6 +47,15 @@ class TestCsvIO:
         data = read_dataset_csv(path)
         assert len(data) == 2
 
+    def test_reads_byte_order_mark(self, tmp_path):
+        text = b"time,status,group\n1.0,1,1\n2.0,1,0\n3.0,1,1\n4.0,1,0\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text)
+        data = read_dataset_csv(bom)
+        assert len(data) == 4
+        assert pr.nppr_fit(data).estimate == pr.nppr_fit(read_dataset_csv(plain)).estimate
+
     def test_column_order_free(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("group,time,status\n1,2.0,1\n0,3.5,0\n")

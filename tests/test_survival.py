@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proprisk import (
+    Dataset,
     ValidationError,
     cdf_at,
     cumhaz_variance_at,
@@ -15,6 +16,7 @@ from proprisk import (
     validate_dataset,
     variance_at,
 )
+from proprisk.survival import event_grid, events_at_risk
 
 from oracles import km_oracle
 
@@ -197,3 +199,27 @@ def test_km_no_censoring_matches_empirical_cdf(rows):
     c = km_from_arrays(t, np.ones(len(times), dtype=int))
     for u in np.unique(t):
         assert cdf_at(c, u) == pytest.approx(np.mean(t <= u), abs=1e-12)
+
+
+@given(group_rows(), group_rows())
+@settings(max_examples=200, deadline=None)
+def test_event_grid_counts_match_km(rows1, rows0):
+    # the shared table's events and risk sets, read at a group's own event
+    # times, are km_from_arrays' per-group tie aggregation, for the data and
+    # for resamples of it counted into the same grid
+    (t1, s1), (t0, s0) = rows1, rows0
+    data = Dataset.from_columns(t1 + t0, s1 + s0, [1] * len(t1) + [0] * len(t0))
+    grid = event_grid(data)
+    np.testing.assert_array_equal(grid.event_times, np.unique(data.time[data.status == 1]))
+    rows = np.random.default_rng(len(data)).integers(0, len(data), size=(3, len(data)))
+    tables = [(data, grid.table())] + [(data.take(r), t) for r, t in zip(rows, grid.table(rows))]
+    for sample, table in tables:
+        events, at_risk = events_at_risk(table)
+        assert events.sum() == sample.status.sum()
+        for g in (0, 1):
+            curve = kaplan_meier(sample, g)
+            cols = np.searchsorted(grid.event_times, curve.event_times)
+            np.testing.assert_array_equal(events[cols, g], curve.events)
+            np.testing.assert_array_equal(at_risk[cols, g], curve.at_risk)
+            brute = [np.sum((sample.group == g) & (sample.time >= t)) for t in grid.event_times]
+            np.testing.assert_array_equal(at_risk[:, g], brute)
