@@ -27,7 +27,6 @@ from .nppr import (
     EventTimeSet,
     NpprEstimate,
     NpprResult,
-    PointwiseLogRR,
     PointwiseSet,
     RiskDifferenceCurve,
     build_event_time_set,
@@ -59,7 +58,6 @@ from .simulate import (
 from .study import ScenarioResult, run_scenario, summarize_grid
 from .survival import (
     Dataset,
-    Observation,
     SurvivalCurve,
     cdf_at,
     cumhaz_variance_at,

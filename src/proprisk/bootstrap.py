@@ -30,6 +30,12 @@ nppr_fit adds m equal terms. So a resample's beta matches the scalar
 nppr_fit of the same rows to 1e-12, and the failed resamples are exactly
 those where nppr_fit raises; tests/test_bootstrap.py holds that gate, with
 nppr_fit kept as the reference path.
+
+Guard: the interval is meaningless when the point estimate is undefined.
+The original data are the resample that takes every row once, so the
+guard runs the same batched fit on the identity table, grid.table()[None],
+and raises EstimationError where its beta is NaN, which is exactly where
+nppr_fit raises on the data. The caller's own point fit is not repeated.
 """
 from __future__ import annotations
 
@@ -39,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationError
-from .nppr import nppr_fit
 from .survival import Dataset, event_grid, events_at_risk
 
 # Count-table cells per chunk of resamples; bounds the working set, not the result.
@@ -128,18 +133,20 @@ def percentile_bootstrap(
 
     Re-estimates with the same ``weighting`` as the point estimate.
     Resamples where estimation fails (a group without events, an empty
-    event-time window, no usable time) are skipped and counted. Raises EstimationError when estimation fails on the
-    original data or when fewer than ``min_success_fraction`` of the
-    resamples succeed.
+    event-time window, no usable time) are skipped and counted. Raises
+    EstimationError when estimation fails on the original data or when
+    fewer than ``min_success_fraction`` of the resamples succeed.
     """
-    nppr_fit(data, weighting)  # the interval is meaningless if the point estimate is undefined
-
+    if weighting not in ("cumhaz", "delta"):
+        raise ValueError("weighting must be one of ('cumhaz', 'delta')")
     n = len(data)
     grid = event_grid(data)
     chunk = max(1, CHUNK_CELLS // grid.n_cells)
     children = np.random.SeedSequence(config.seed).spawn(config.n_resamples)
     parts = []
     with np.errstate(divide="ignore", invalid="ignore"):
+        if np.isnan(_resample_betas(grid.table()[None], weighting)[0]):
+            raise EstimationError("NPPR estimate undefined on the original data")
         for start in range(0, config.n_resamples, chunk):
             rows = np.stack(
                 [np.random.default_rng(c).integers(0, n, size=n) for c in children[start : start + chunk]]

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
 
 from .bootstrap import ConfidenceInterval
 from .survival import Dataset, event_grid, events_at_risk
@@ -126,16 +127,18 @@ class PprFit:
         return math.isfinite(self.ci_beta.lower) and math.isfinite(self.ci_beta.upper)
 
 
-def _fd_hessian(f, x: np.ndarray, rel_step: float = 1e-4, max_step: np.ndarray | None = None) -> np.ndarray:
+# finite-difference step relative to each coordinate's magnitude
+FD_REL_STEP = 1e-4
+
+
+def _fd_hessian(f, x: np.ndarray, max_step: np.ndarray) -> np.ndarray:
     """Central finite-difference Hessian; symmetric by construction.
 
     ``max_step`` caps each coordinate's step, keeping the stencil inside a
     constrained parameter's feasible region.
     """
     n = x.shape[0]
-    h = rel_step * np.maximum(np.abs(x), 1e-12)
-    if max_step is not None:
-        h = np.minimum(h, max_step)
+    h = np.minimum(FD_REL_STEP * np.maximum(np.abs(x), 1e-12), max_step)
     hess = np.empty((n, n))
     f0 = f(x)
     for i in range(n):
@@ -302,7 +305,7 @@ def fit_ppr(data: Dataset, level: float = 0.95) -> PprFit:
         return _ppr_fit(params, loglik, level, True, ci_reason="delta-method variance not positive")
 
     beta = -params.alpha * math.log(params.theta1 / params.theta0)
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * math.sqrt(var_log_rr)
     return _ppr_fit(
         params,
@@ -355,6 +358,6 @@ def cox_two_group(data: Dataset, level: float = 0.95) -> CoxFit:
         return CoxFit(b, math.exp(b), ConfidenceInterval(math.nan, math.nan, level), False, "did not converge")
 
     se = 1.0 / math.sqrt(info)
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     ci = ConfidenceInterval(math.exp(b - z * se), math.exp(b + z * se), level)
     return CoxFit(log_hr=b, hr=math.exp(b), ci_hr=ci, converged=True)

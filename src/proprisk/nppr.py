@@ -61,26 +61,15 @@ class EventTimeSet:
         return self.times.shape[0] == 0
 
 
-@dataclass(frozen=True)
-class PointwiseLogRR:
-    """One pointwise log-RR estimate with its per-group variance terms.
+@dataclass(frozen=True, eq=False)
+class PointwiseSet:
+    """Usable pointwise estimates as parallel arrays, plus the count of
+    multiset entries dropped for undefined or zero weighting variance.
 
     ``var1``/``var0`` are the group uncertainty summands of the selected
     weighting; ``weight_var`` is their sum omega(t), the weighting variance
     of beta_t.
     """
-
-    time: float
-    beta_t: float
-    var1: float
-    var0: float
-    weight_var: float
-
-
-@dataclass(frozen=True, eq=False)
-class PointwiseSet:
-    """Usable pointwise estimates as parallel arrays, plus the count of
-    multiset entries dropped for undefined or zero weighting variance."""
 
     times: np.ndarray
     beta_t: np.ndarray
@@ -91,14 +80,6 @@ class PointwiseSet:
 
     def __len__(self) -> int:
         return self.times.shape[0]
-
-    def rows(self) -> list[PointwiseLogRR]:
-        return [
-            PointwiseLogRR(float(t), float(b), float(v1), float(v0), float(w))
-            for t, b, v1, v0, w in zip(
-                self.times, self.beta_t, self.var1, self.var0, self.weight_var
-            )
-        ]
 
 
 @dataclass(frozen=True)

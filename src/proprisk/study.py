@@ -6,21 +6,26 @@ Exclusion rules:
 * NPPR: a replicate where the restricted event-time set is empty (or every
   entry is dropped) counts as a failure and contributes nothing to the
   NPPR metrics.
-* PPR: replicates with |estimated effect| above a threshold (default 3, to
-  screen obvious numerical blow-ups) or a non-converged fit are excluded
+* PPR: replicates with |estimated effect| above PPR_EXCLUSION_THRESHOLD (3,
+  to screen obvious numerical blow-ups) or a non-converged fit are excluded
   from the PPR metrics. The parametric competitor is only fitted when the
   generating model satisfies the proportional-risk assumption; PPR columns
   are NaN for proportional-hazards scenarios.
 
 Bias and MSE are computed per method over that method's own non-excluded
 replicates, against the scenario's nominal effect (for PH scenarios the
-nominal log HR is treated as the log RR).
+nominal log HR is treated as the log RR). For PR scenarios the nominal
+effect is not exactly the generated one: the bundled EU scales
+(``simulate.EU_ALPHA``, ``EU_THETA1``, ``EU_THETA0``) imply
+beta = -alpha*log(theta1/theta0) = 0.5049, 0.2159, -0.2471 and -0.4942 for
+the nominal effects 0.5, 0.25, -0.25 and -0.5. So the PR effect-0.25 cells
+carry a bias of about -0.034 that no estimator can remove.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,7 +66,6 @@ def run_scenario(
     n_reps: int,
     with_coverage: bool = False,
     bootstrap_config: BootstrapConfig | None = None,
-    ppr_threshold: float = PPR_EXCLUSION_THRESHOLD,
     progress: bool = False,
     fit_competitor: bool | None = None,
 ) -> ScenarioResult:
@@ -97,12 +101,7 @@ def run_scenario(
             beta = nppr_fit(data, weighting).estimate.beta
             nppr_err.append(beta - true_beta)
             if with_coverage:
-                cfg = BootstrapConfig(
-                    n_resamples=bootstrap_config.n_resamples,
-                    level=bootstrap_config.level,
-                    seed=_bootstrap_seed(scenario, rep),
-                    min_success_fraction=bootstrap_config.min_success_fraction,
-                )
+                cfg = replace(bootstrap_config, seed=_bootstrap_seed(scenario, rep))
                 try:
                     ci = percentile_bootstrap(data, cfg, weighting).ci_beta
                     nppr_cover.append(float(ci.lower <= true_beta <= ci.upper))
@@ -113,7 +112,7 @@ def run_scenario(
 
         if fit_competitor:
             fit = fit_ppr(data)
-            if not fit.converged or abs(fit.beta) > ppr_threshold:
+            if not fit.converged or abs(fit.beta) > PPR_EXCLUSION_THRESHOLD:
                 n_ppr_excluded += 1
             else:
                 ppr_err.append(fit.beta - true_beta)

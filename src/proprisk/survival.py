@@ -22,15 +22,6 @@ import numpy as np
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One subject: observed time, event indicator, group label."""
-
-    time: float
-    status: int
-    group: int
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -59,13 +50,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.time.shape[0]
-
-    @property
-    def observations(self) -> tuple[Observation, ...]:
-        return tuple(
-            Observation(float(t), int(s), int(g))
-            for t, s, g in zip(self.time, self.status, self.group)
-        )
 
     def group_arrays(self, group: int) -> tuple[np.ndarray, np.ndarray]:
         """(times, status) of one group, in row order."""

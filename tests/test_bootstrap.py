@@ -115,10 +115,25 @@ class TestPercentileBootstrap:
                 data, BootstrapConfig(n_resamples=60, seed=17, min_success_fraction=0.99)
             )
 
-    def test_undefined_point_estimate_raises(self):
-        data = validate_dataset([(1.0, 1, 1), (2.0, 0, 0)])  # group 0 has no events
+    @pytest.mark.parametrize("weighting", ["cumhaz", "delta"])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1.0, 1, 1), (2.0, 0, 0)],  # group 0 has no events
+            [(1.0, 1, 1), (2.0, 1, 1), (5.0, 1, 0), (6.0, 1, 0)],  # empty window
+            [(1.0, 1, 1), (1.0, 1, 0)],  # every time dropped: both risk sets exhausted
+        ],
+        ids=["no_events_in_group0", "empty_window", "all_dropped"],
+    )
+    def test_undefined_point_estimate_raises(self, rows, weighting):
+        data = validate_dataset(rows)
         with pytest.raises(EstimationError):
-            percentile_bootstrap(data, BootstrapConfig(n_resamples=10, seed=1))
+            nppr_fit(data, weighting)
+        # no resample succeeds either; min_success_fraction=0 leaves the raise to the guard
+        with pytest.raises(EstimationError, match="original data"):
+            percentile_bootstrap(
+                data, BootstrapConfig(n_resamples=10, seed=1, min_success_fraction=0.0), weighting
+            )
 
     def test_weighting_passthrough(self):
         data = _two_arm_data()
@@ -126,6 +141,8 @@ class TestPercentileBootstrap:
         a = percentile_bootstrap(data, cfg, weighting="cumhaz")
         b = percentile_bootstrap(data, cfg, weighting="delta")
         assert not np.array_equal(a.betas, b.betas)
+        with pytest.raises(ValueError, match="weighting"):
+            percentile_bootstrap(data, cfg, weighting="greenwood")
 
 
 def _scalar_resamples(data, cfg, weighting):

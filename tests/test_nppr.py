@@ -102,9 +102,9 @@ class TestPointwise:
         c1 = _curve([1, 2], [1, 1])
         c0 = _curve([1, 3], [1, 1])
         ts = build_event_time_set([1.0, 2.0], [1.0, 3.0])
-        rows = pointwise_log_rr(c1, c0, ts).rows()
-        assert rows[0].time == 1.0
-        assert rows[0].weight_var == pytest.approx(rows[0].var1 + rows[0].var0)
+        pts = pointwise_log_rr(c1, c0, ts)
+        assert pts.times[0] == 1.0
+        np.testing.assert_array_equal(pts.weight_var, pts.var1 + pts.var0)
 
 
 class TestPointEstimate:

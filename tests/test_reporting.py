@@ -60,7 +60,7 @@ class TestCsvIO:
         path = tmp_path / "d.csv"
         path.write_text("group,time,status\n1,2.0,1\n0,3.5,0\n")
         data = read_dataset_csv(path)
-        assert data.observations[0].time == 2.0
+        assert data.time[0] == 2.0
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -59,9 +59,10 @@ class TestRunScenario:
         assert math.isnan(r.bias_ppr) and math.isnan(r.mse_ppr)
         assert r.n_ppr_excluded == 0
 
-    def test_ppr_threshold_excludes(self):
+    def test_ppr_threshold_excludes(self, monkeypatch):
+        monkeypatch.setattr("proprisk.study.PPR_EXCLUSION_THRESHOLD", 1e-9)
         sc = _scenario(n=40, rate=0.5, seed=7)
-        strict = run_scenario(sc, 60, ppr_threshold=1e-9)
+        strict = run_scenario(sc, 60)
         assert strict.n_ppr_excluded > 0
         assert math.isnan(strict.bias_ppr) or strict.n_ppr_excluded < 60
 

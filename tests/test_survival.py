@@ -25,7 +25,7 @@ class TestValidateDataset:
     def test_minimal_valid(self):
         data = validate_dataset([(2.0, 1, 1), (3.0, 0, 0)])
         assert len(data) == 2
-        assert data.observations[0].time == 2.0
+        assert data.time[0] == 2.0
 
     def test_nonpositive_time(self):
         with pytest.raises(ValidationError, match="nonpositive time at row 1"):
