@@ -40,6 +40,7 @@ def _cmd_fit(args) -> int:
         raise ValidationError("--level must be in (0, 1)")
     if args.bootstrap < 0 or args.bootstrap == 1:
         raise ValidationError("--bootstrap must be 0 (no interval) or at least 2")
+    _check_seed(args)
     data = read_dataset_csv(args.data)
     result = nppr_fit(data)
     boot = None
@@ -49,6 +50,17 @@ def _cmd_fit(args) -> int:
         )
     emit_report(build_report(result, boot), args.format, sys.stdout)
     return EXIT_OK
+
+
+def _check_seed(args) -> None:
+    if args.seed < 0:
+        raise ValidationError("--seed must be non-negative")
+
+
+def _check_reps_seed(args) -> None:
+    if args.reps < 1:
+        raise ValidationError("--reps must be at least 1")
+    _check_seed(args)
 
 
 def _ci_dict(ci):
@@ -80,6 +92,7 @@ def _cmd_ppr_fit(args) -> int:
         "loglik": _finite(fit.loglik),
         "converged": fit.converged,
         "reason": fit.reason,
+        "ci_reason": fit.ci_reason,
     }
     _dump_json(payload)
     return EXIT_OK if fit.converged else EXIT_CONVERGENCE
@@ -100,6 +113,7 @@ def _cmd_cox(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_reps_seed(args)
     scenarios = load_grid(args.scenario)
     if len(scenarios) != 1:
         raise ValidationError("scenario file must contain exactly one scenario")
@@ -116,6 +130,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_study(args) -> int:
     if args.bootstrap < 2:
         raise ValidationError("--bootstrap must be at least 2")
+    _check_reps_seed(args)
     scenarios = default_grid() if args.grid == "default" else load_grid(args.grid)
     scenarios = reseed(scenarios, args.seed)
     results = []

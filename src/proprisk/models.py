@@ -108,9 +108,10 @@ class PprFit:
     ``converged`` means the likelihood has a maximum and ``params`` is it
     (``loglik`` is the log-likelihood there); otherwise ``reason`` says why
     no maximum exists. The interval can still be unavailable (NaN
-    endpoints, see ``ci_reason``) when the estimate sits on the support
-    boundary or the observed information is not negative-definite there,
-    which happens routinely for this non-regular likelihood.
+    endpoints, ``ci_reason`` "estimate at support boundary") when a group's
+    estimate sits on its support bound theta_g = 1/max(t_g), which happens
+    routinely for this non-regular likelihood. Off the bound the observed
+    information is positive-definite, so the interval always exists.
     """
 
     params: EuParams
@@ -125,33 +126,6 @@ class PprFit:
     @property
     def ci_available(self) -> bool:
         return math.isfinite(self.ci_beta.lower) and math.isfinite(self.ci_beta.upper)
-
-
-# finite-difference step relative to each coordinate's magnitude
-FD_REL_STEP = 1e-4
-
-
-def _fd_hessian(f, x: np.ndarray, max_step: np.ndarray) -> np.ndarray:
-    """Central finite-difference Hessian; symmetric by construction.
-
-    ``max_step`` caps each coordinate's step, keeping the stencil inside a
-    constrained parameter's feasible region.
-    """
-    n = x.shape[0]
-    h = np.minimum(FD_REL_STEP * np.maximum(np.abs(x), 1e-12), max_step)
-    hess = np.empty((n, n))
-    f0 = f(x)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h[i]
-        hess[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h[i] ** 2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h[j]
-            hess[i, j] = hess[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * h[i] * h[j])
-    return hess
 
 
 def _ppr_fit(
@@ -227,10 +201,11 @@ def fit_ppr(data: Dataset, level: float = 0.95) -> PprFit:
     reported is then the maximum of :func:`eu_log_likelihood`. It is False
     when a group is empty or has no events (its theta would go to 0), or
     when the likelihood still increases as alpha grows without bound. The
-    interval for beta = -log RR comes from the multivariate delta method on
-    the inverse observed information, with the Hessian taken by central
-    differences in the original parameters; no interval is reported when
-    the estimate sits on the boundary (the information is undefined there).
+    interval for beta = -log RR is the Wald interval from the exact observed
+    information in (alpha, w_1, w_0), where beta is linear; at an interior
+    maximum this equals the delta method in (alpha, theta_1, theta_0). No
+    interval is reported when a group's w_g is 0, i.e. its estimate sits on
+    the support bound (the information is undefined there).
     """
     # canonical row order makes the fit exactly invariant to input permutation
     order = np.lexsort((data.status, data.group, data.time))
@@ -268,45 +243,29 @@ def fit_ppr(data: Dataset, level: float = 0.95) -> PprFit:
         f_hi = dprofile(hi)
     log_alpha = hi if f_hi == 0.0 else optimize.brentq(dprofile, min(lo, hi), max(lo, hi), xtol=1e-12)
     alpha = math.exp(log_alpha)
+    ws = [_profile_group(alpha, *g)[0] for g in groups]
     # exp(w/alpha) <= 1 keeps theta inside the support; w = 0 gives the bound exactly
-    theta1, theta0 = (
-        math.exp(_profile_group(alpha, *g)[0] / alpha) * bound
-        for g, bound in zip(groups, (bound1, bound0))
-    )
+    theta1, theta0 = (math.exp(w / alpha) * bound for w, bound in zip(ws, (bound1, bound0)))
     params = EuParams(alpha, theta1, theta0)
     loglik = eu_log_likelihood(data, params)
-
-    def ll_raw(p: np.ndarray) -> float:
-        return eu_log_likelihood(data, EuParams(p[0], p[1], p[2]))
-
-    # keep the stencil inside the support: theta_g + h must stay below 1/max(t_g)
-    gap = np.array([math.inf, bound1 - params.theta1, bound0 - params.theta0])
-    rel_gap = np.min(gap[1:] / np.array([params.theta1, params.theta0]))
-    if rel_gap < 1e-7:
+    if 0.0 in ws:
         return _ppr_fit(params, loglik, level, True, ci_reason="estimate at support boundary")
-    hess = _fd_hessian(
-        ll_raw,
-        np.array([params.alpha, params.theta1, params.theta0]),
-        max_step=0.45 * gap,
-    )
-    if not np.all(np.isfinite(hess)) or np.any(np.linalg.eigvalsh(hess) >= 0):
-        return _ppr_fit(params, loglik, level, True, ci_reason="observed information not positive-definite")
 
-    cov = np.linalg.inv(-hess)
-    grad = np.array(
-        [
-            math.log(params.theta1) - math.log(params.theta0),
-            params.alpha / params.theta1,
-            -params.alpha / params.theta0,
-        ]
-    )
-    var_log_rr = float(grad @ cov @ grad)
-    if not math.isfinite(var_log_rr) or var_log_rr <= 0:
-        return _ppr_fit(params, loglik, level, True, ci_reason="delta-method variance not positive")
+    # observed information in (alpha, w1, w0); off the bound every group has censored rows
+    info = np.zeros((3, 3))
+    for i, ((d, _, r), w) in enumerate(zip(groups, ws), start=1):
+        h = 1.0 / np.expm1(alpha * r - w)
+        c = h * (1.0 + h)
+        info[0, 0] += d / alpha**2 + float(np.sum(r * r * c))
+        info[0, i] = info[i, 0] = -float(np.sum(r * c))
+        info[i, i] = float(np.sum(c))
+    # beta = w0 - w1 + alpha*log(max t_1/max t_0) is linear in these coordinates
+    grad = np.array([math.log(float(t1.max() / t0.max())), -1.0, 1.0])
+    var_beta = float(grad @ np.linalg.solve(info, grad))
 
     beta = -params.alpha * math.log(params.theta1 / params.theta0)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    half = z * math.sqrt(var_log_rr)
+    half = z * math.sqrt(var_beta)
     return _ppr_fit(
         params,
         loglik,

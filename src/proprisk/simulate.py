@@ -23,6 +23,7 @@ from typing import Union
 import numpy as np
 from scipy import integrate, optimize
 
+from .errors import ValidationError
 from .models import (
     EuParams,
     WeibullPhParams,
@@ -225,12 +226,21 @@ def scenario_from_dict(obj: dict) -> Scenario:
 
 
 def load_grid(path) -> list[Scenario]:
-    """Scenario list from a JSON grid file (a list of scenario objects)."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    if isinstance(raw, dict):
-        raw = [raw]
-    return [scenario_from_dict(obj) for obj in raw]
+    """Scenario list from a JSON grid file (a list of scenario objects, or
+    one object). A file that cannot be read or does not describe valid
+    scenarios raises ValidationError naming the file."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+        scenarios = [scenario_from_dict(obj) for obj in ([raw] if isinstance(raw, dict) else raw)]
+        for s in scenarios:
+            if s.n_participants < 1:
+                raise ValueError(f"n_participants must be at least 1, got {s.n_participants}")
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing field {exc}") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    return scenarios
 
 
 def save_grid(scenarios: list[Scenario], path) -> None:

@@ -2,6 +2,7 @@
 package's vectorized code paths: pure-Python loops, explicit risk-set
 recounts per time, no shared helpers."""
 import math
+from statistics import NormalDist
 
 
 def km_oracle(pairs):
@@ -108,3 +109,60 @@ def cox_grid_oracle(time, status, group, lo=-6.0, hi=6.0):
             c = b - gr * (b - a)
             fc = cox_partial_loglik(time, status, group, c)
     return (a + b) / 2.0
+
+
+def eu_loglik_oracle(time, status, group, alpha, theta1, theta0):
+    """Two-group EU censored-data log-likelihood, summed row by row; -inf
+    once a time lies beyond its group's support bound 1/theta."""
+    terms = []
+    for t, s, g in zip(time, status, group):
+        theta = theta1 if g == 1 else theta0
+        if theta * t > 1.0:
+            return -math.inf
+        if s == 1:
+            terms.append(math.log(alpha) + alpha * math.log(theta) + (alpha - 1.0) * math.log(t))
+        else:
+            terms.append(math.log1p(-((theta * t) ** alpha)))
+    return math.fsum(terms)
+
+
+def _det3(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def eu_delta_half_width_oracle(time, status, group, alpha, theta1, theta0, level=0.95, rel_step=1e-4):
+    """Half-width of the delta-method interval for beta = -alpha*log(theta1/theta0).
+
+    The Hessian of :func:`eu_loglik_oracle` is taken by central differences
+    in (alpha, theta1, theta0), each step ``rel_step`` of its coordinate and
+    at most 0.45 of the distance to the group's support bound, so the
+    stencil stays inside the support. The 3x3 system is solved by Cramer's
+    rule.
+    """
+    x = [alpha, theta1, theta0]
+    bounds = [math.inf] + [1.0 / max(t for t, g2 in zip(time, group) if g2 == g) for g in (1, 0)]
+    h = [min(rel_step * abs(v), 0.45 * (b - v)) for v, b in zip(x, bounds)]
+
+    def f(*shifts):
+        p = list(x)
+        for i, k in shifts:
+            p[i] += k * h[i]
+        return eu_loglik_oracle(time, status, group, *p)
+
+    neg_hess = [[0.0] * 3 for _ in range(3)]
+    for i in range(3):
+        neg_hess[i][i] = -(f((i, 1)) - 2.0 * f() + f((i, -1))) / h[i] ** 2
+        for j in range(i + 1, 3):
+            d = f((i, 1), (j, 1)) - f((i, 1), (j, -1)) - f((i, -1), (j, 1)) + f((i, -1), (j, -1))
+            neg_hess[i][j] = neg_hess[j][i] = -d / (4.0 * h[i] * h[j])
+    grad = [math.log(theta1 / theta0), alpha / theta1, -alpha / theta0]
+    det = _det3(neg_hess)
+    var = 0.0
+    for i in range(3):
+        m = [[grad[r] if c == i else neg_hess[r][c] for c in range(3)] for r in range(3)]
+        var += grad[i] * _det3(m) / det
+    return NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(var)

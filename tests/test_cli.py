@@ -76,6 +76,8 @@ class TestFit:
             ("--level", "1.5"),
             ("--level", "0"),
             ("--level", "1.5", "--bootstrap", "0"),
+            ("--seed", "-1"),
+            ("--seed", "-1", "--bootstrap", "0"),
         ],
     )
     def test_bad_bootstrap_flags_exit_code(self, data_csv, flags, capsys):
@@ -94,6 +96,19 @@ class TestParametricCommands:
         assert payload["rr"] == pytest.approx(
             (payload["theta1"] / payload["theta0"]) ** payload["alpha"], rel=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "effect, rate, ci_reason", [(0.0, 0.7, ""), (0.5, 0.3, "estimate at support boundary")]
+    )
+    def test_ppr_fit_ci_reason(self, tmp_path, effect, rate, ci_reason):
+        sc = pr.make_scenario(pr.Model.PPR_EU, effect, rate, 120, seed=31)
+        path = tmp_path / "trial.csv"
+        write_dataset_csv(pr.simulate_dataset(sc, 0), path)
+        code, out = run_cli("ppr-fit", "--data", str(path))
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["ci_reason"] == ci_reason
+        assert (payload["ci_beta"] is None) == bool(ci_reason)
 
     def test_cox(self, data_csv):
         code, out = run_cli("cox", "--data", data_csv)
@@ -132,6 +147,26 @@ class TestParametricCommands:
             assert payload[key] is None, key
 
 
+def _grid_file(tmp_path, kind):
+    """A one-scenario grid file: valid, or broken in the way ``kind`` names."""
+    from proprisk.simulate import scenario_to_dict
+
+    path = tmp_path / f"{kind}.json"
+    obj = scenario_to_dict(pr.default_grid()[2])
+    if kind == "valid":
+        path.write_text(json.dumps([obj]))
+    elif kind == "invalid_json":
+        path.write_text("[{")
+    elif kind == "unknown_model":
+        path.write_text(json.dumps([dict(obj, model="lognormal")]))
+    elif kind == "no_participants":
+        path.write_text(json.dumps([dict(obj, n_participants=-3)]))
+    return str(path)
+
+
+BAD_GRID_KINDS = ["missing", "invalid_json", "unknown_model", "no_participants"]
+
+
 class TestSimulateCommand:
     def test_writes_replicates(self, tmp_path):
         grid = pr.default_grid()
@@ -148,6 +183,25 @@ class TestSimulateCommand:
         assert len(files) == 3
         data = pr.read_dataset_csv(files[0])
         assert len(data) == 50
+
+    @pytest.mark.parametrize("flags", [("--reps", "0"), ("--reps", "-1"), ("--seed", "-1")])
+    def test_bad_run_flags_exit_code(self, tmp_path, flags, capsys):
+        path = _grid_file(tmp_path, "valid")
+        argv = {"--reps": "1", "--seed": "1"}
+        argv.update([flags])
+        code, _ = run_cli("simulate", "--scenario", path, "--out", str(tmp_path / "o"),
+                          *(x for kv in argv.items() for x in kv))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {flags[0]}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", BAD_GRID_KINDS)
+    def test_bad_scenario_file_exit_code(self, tmp_path, kind, capsys):
+        path = _grid_file(tmp_path, kind)
+        code, _ = run_cli("simulate", "--scenario", path, "--reps", "1", "--seed", "1",
+                          "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_rejects_multi_scenario_file(self, tmp_path):
         from proprisk.simulate import scenario_to_dict
@@ -166,6 +220,23 @@ class TestStudyCommand:
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.startswith("error: --bootstrap")
+
+    @pytest.mark.parametrize("flags", [("--reps", "0"), ("--reps", "-2"), ("--seed", "-5")])
+    def test_bad_run_flags_exit_code(self, flags, capsys):
+        argv = {"--reps": "1", "--seed": "1"}
+        argv.update([flags])
+        code, out = run_cli("study", "--grid", "default", *(x for kv in argv.items() for x in kv))
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith(f"error: {flags[0]}")
+
+    @pytest.mark.parametrize("kind", BAD_GRID_KINDS)
+    def test_bad_grid_file_exit_code(self, tmp_path, kind, capsys):
+        path = _grid_file(tmp_path, kind)
+        code, out = run_cli("study", "--grid", path, "--reps", "1", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_small_grid(self, tmp_path):
         from proprisk.simulate import scenario_to_dict

@@ -16,9 +16,9 @@ from proprisk import (
     weibull_ph_cdf,
     weibull_ph_quantile,
 )
-from proprisk.models import _fd_hessian
+import proprisk.models as models
 
-from oracles import cox_grid_oracle, cox_partial_loglik
+from oracles import cox_grid_oracle, cox_partial_loglik, eu_delta_half_width_oracle
 
 EU = EuParams(0.859, 0.005, 0.009)
 WEIB = WeibullPhParams(0.916, 145.575, 88.296)
@@ -205,20 +205,52 @@ class TestFitPpr:
         assert "alpha" in fit.reason
 
     def test_ci_when_interior(self):
-        # 70% censoring keeps the estimate off thesupport boundary
+        # 70% censoring keeps the estimate off the support boundary
         data = _sim(model_effect=0.0, rate=0.7, n=400)
         fit = fit_ppr(data)
         assert fit.converged
         assert fit.ci_available
         assert fit.ci_beta.lower <= fit.beta <= fit.ci_beta.upper
 
-    def test_hessian_symmetry_at_interior_optimum(self):
-        data = _sim(model_effect=0.0, rate=0.7, n=400)
-        fit = fit_ppr(data)
-        x = np.array([fit.params.alpha, fit.params.theta1, fit.params.theta0])
-        hess = _fd_hessian(lambda p: eu_log_likelihood(data, EuParams(*p)), x, max_step=np.full(3, np.inf))
-        asym = np.max(np.abs(hess - hess.T)) / np.max(np.abs(hess))
-        assert asym < 1e-6
+    @pytest.mark.parametrize("effect, rate, n", [(0.0, 0.7, 500), (0.5, 0.5, 100)])
+    def test_interval_matches_delta_method_oracle(self, effect, rate, n):
+        # exact information in (alpha, w1, w0) vs central differences in (alpha, theta1, theta0)
+        import proprisk
+
+        sc = proprisk.make_scenario(proprisk.Model.PPR_EU, effect, rate, n, seed=20240801)
+        interior = 0
+        for rep in range(40):
+            data = proprisk.simulate_dataset(sc, rep)
+            fit = fit_ppr(data)
+            assert fit.converged
+            p = fit.params
+            bounds = [1.0 / float(data.time[data.group == g].max()) for g in (1, 0)]
+            at_bound = p.theta1 == bounds[0] or p.theta0 == bounds[1]
+            assert fit.ci_available == (not at_bound)
+            if at_bound:
+                assert fit.ci_reason == "estimate at support boundary"
+                continue
+            interior += 1
+            assert fit.ci_reason == ""
+            ref = eu_delta_half_width_oracle(
+                list(data.time), list(data.status), list(data.group), p.alpha, p.theta1, p.theta0
+            )
+            half = (fit.ci_beta.upper - fit.ci_beta.lower) / 2.0
+            assert half == pytest.approx(ref, rel=1e-4)
+            assert (fit.ci_beta.upper + fit.ci_beta.lower) / 2.0 == pytest.approx(fit.beta, abs=1e-12)
+        assert interior >= 10
+
+    def test_one_loglik_evaluation_per_converged_fit(self, monkeypatch):
+        import proprisk
+
+        calls = []
+        real = models.eu_log_likelihood
+        monkeypatch.setattr(models, "eu_log_likelihood", lambda *a: calls.append(1) or real(*a))
+        sc = proprisk.make_scenario(proprisk.Model.PPR_EU, 0.5, 0.5, 100, seed=20240801)
+        fits = [fit_ppr(proprisk.simulate_dataset(sc, rep)) for rep in range(10)]
+        fits.append(fit_ppr(validate_dataset([(1.0, 0, 1), (2.0, 0, 0)])))
+        assert any(f.ci_available for f in fits) and not all(f.converged for f in fits)
+        assert len(calls) == sum(f.converged for f in fits)
 
 
 class TestCoxTwoGroup:

@@ -11,6 +11,7 @@ from proprisk.simulate import (
     Model,
     default_grid,
     reseed,
+    save_grid,
     scenario_from_dict,
     scenario_to_dict,
     standard_params,
@@ -134,6 +135,16 @@ class TestGridSerialization:
         sc = pr.make_scenario(Model.WEIBULL_PH, -0.25, 0.5, 100, seed=5)
         back = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc))))
         assert back == sc
+
+    def test_load_grid_round_trip_and_bad_file(self, tmp_path):
+        sc = pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 60, seed=2)
+        path = tmp_path / "grid.json"
+        save_grid([sc], path)
+        assert pr.load_grid(path) == [sc]
+        obj = dict(scenario_to_dict(sc), n_participants=0)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(pr.ValidationError, match=r"grid\.json: n_participants must be at least 1"):
+            pr.load_grid(path)
 
     def test_default_grid_shape(self):
         grid = default_grid()
