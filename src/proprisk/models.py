@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-from scipy import optimize
 
 from .bootstrap import ConfidenceInterval
 from .survival import Dataset, event_grid, events_at_risk
@@ -185,6 +184,62 @@ def _profile_group(alpha: float, d: int, e_rel: float, r: np.ndarray) -> tuple[f
     return w, d / alpha + e_rel + float(np.sum(r * h))
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float = 4 * np.finfo(float).eps, maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    It follows the common C implementation step for step (the bracket swap,
+    the interpolate/extrapolate test, the ``delta`` step), so it returns the
+    same float for the same f, bracket and tolerances; the tests hold it to
+    that. Raises ValueError when f returns NaN or f(a) and f(b) have the
+    same sign, and RuntimeError when ``maxiter`` steps do not reach the
+    tolerance 2*delta.
+    """
+
+    def fx(x: float) -> float:
+        y = f(x)
+        if math.isnan(y):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return y
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fx(xcur)
+    raise RuntimeError(f"brentq did not converge after {maxiter} iterations, value is {xcur}")
+
+
 def fit_ppr(data: Dataset, level: float = 0.95) -> PprFit:
     """Exact maximum-likelihood fit of the EU model by profile likelihood.
 
@@ -241,7 +296,7 @@ def fit_ppr(data: Dataset, level: float = 0.95) -> PprFit:
         if abs(hi) > 50.0:
             return _ppr_fit(start, math.nan, level, False, "likelihood still increasing as alpha grows")
         f_hi = dprofile(hi)
-    log_alpha = hi if f_hi == 0.0 else optimize.brentq(dprofile, min(lo, hi), max(lo, hi), xtol=1e-12)
+    log_alpha = hi if f_hi == 0.0 else _brentq(dprofile, min(lo, hi), max(lo, hi), xtol=1e-12)
     alpha = math.exp(log_alpha)
     ws = [_profile_group(alpha, *g)[0] for g in groups]
     # exp(w/alpha) <= 1 keeps theta inside the support; w = 0 gives the bound exactly

@@ -15,21 +15,20 @@ independently of execution order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Union
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import ValidationError
 from .models import (
     EuParams,
     WeibullPhParams,
-    eu_cdf,
+    _brentq,
     eu_quantile,
-    weibull_ph_cdf,
     weibull_ph_quantile,
 )
 from .survival import Dataset
@@ -77,53 +76,94 @@ class Scenario:
     seed: int = 0
 
 
-def _model_cdf(model: Model, params: ModelParams, group: int, t):
-    if model is Model.PPR_EU:
-        return eu_cdf(params, group, t)
-    return weibull_ph_cdf(params, group, t)
-
-
 def _model_quantile(model: Model, params: ModelParams, group: int, u):
     if model is Model.PPR_EU:
         return eu_quantile(params, group, u)
     return weibull_ph_quantile(params, group, u)
 
 
+def _check_params(params: ModelParams) -> None:
+    for name, value in asdict(params).items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"model parameter {name} must be positive and finite, got {value}")
+
+
+def _gammainc(a: float, x: float) -> float:
+    """Regularised lower incomplete gamma P(a, x) for a > 0, x >= 0: the
+    series for x < a + 1, else the continued fraction of Q = 1 - P by
+    Lentz's method (Numerical Recipes, 2nd ed., section 6.2)."""
+    if x <= 0.0:
+        return 0.0
+    eps, tiny = 2.0**-52, 1e-300
+    log_pre = a * math.log(x) - x - math.lgamma(a)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for n in range(1, 10_000):
+            term *= x / (a + n)
+            total += term
+            if abs(term) < abs(total) * eps:
+                break
+        return total * math.exp(log_pre)
+    if not log_pre > -745.0:  # Q underflows (or x is infinite): P is 1
+        return 1.0
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) >= tiny else tiny
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < eps:
+            break
+    return 1.0 - math.exp(log_pre) * h
+
+
+def _survival_integral(model: Model, params: ModelParams, group: int, c: float) -> float:
+    """Integral of one group's survival function S_g over [0, c]."""
+    if model is Model.PPR_EU:
+        alpha, theta = params.alpha, params.theta(group)
+        end = 1.0 / theta
+        if c >= end:
+            return end * alpha / (alpha + 1.0)
+        return c - (theta * c) ** alpha * c / (alpha + 1.0)
+    a, lam = 1.0 / params.k, params.scale(group)
+    return lam / params.k * math.gamma(a) * _gammainc(a, (c / lam) ** params.k)
+
+
 def censoring_probability(model: Model, params: ModelParams, c_max: float) -> float:
     """P(C < T) for C ~ Uniform(0, c_max), T from the 50/50 group mixture.
 
-    Equals (1/c) * integral_0^c S_mix(u) du, evaluated by adaptive
-    quadrature with breakpoints at the EU support endpoints.
+    Equals (1/c) * integral_0^c S_mix(u) du, in closed form: for EU,
+    c - (theta*c)^alpha * c/(alpha+1) up to the support end 1/theta and
+    alpha/(theta*(alpha+1)) beyond it; for Weibull,
+    (lambda/k) * Gamma(1/k) * P(1/k, (c/lambda)^k).
     """
-
-    def s_mix(u: float) -> float:
-        return 1.0 - 0.5 * (
-            _model_cdf(model, params, 1, u) + _model_cdf(model, params, 0, u)
-        )
-
-    points = None
-    if model is Model.PPR_EU:
-        ends = [1.0 / params.theta1, 1.0 / params.theta0]
-        points = [e for e in ends if 0.0 < e < c_max] or None
-    value, _ = integrate.quad(s_mix, 0.0, c_max, points=points, limit=200)
-    return value / c_max
+    total = _survival_integral(model, params, 1, c_max) + _survival_integral(model, params, 0, c_max)
+    return 0.5 * total / c_max
 
 
 def calibrate_censoring(model: Model, params: ModelParams, target_rate: float) -> float:
     """Uniform upper bound c_max achieving the target censoring rate.
 
     P(C < T) decreases monotonically from 1 (c_max -> 0) to 0, so the root
-    is bracketed by doubling and solved by brentq; the achieved probability
-    matches the target far inside the 1e-4 tolerance.
+    is bracketed by doubling and solved by Brent's method; the achieved
+    probability matches the target far inside the 1e-4 tolerance. Raises
+    ValueError for a target outside (0, 1) or a non-positive parameter.
     """
     if not 0.0 < target_rate < 1.0:
         raise ValueError("target_rate must be in (0, 1)")
+    _check_params(params)
     lo, hi = 1e-8, 1.0
     while censoring_probability(model, params, hi) > target_rate:
         hi *= 2.0
         if hi > 1e12:
             raise ValueError("censoring target unreachable")
-    c_max = optimize.brentq(
+    c_max = _brentq(
         lambda c: censoring_probability(model, params, c) - target_rate,
         lo,
         hi,
@@ -208,19 +248,31 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(obj: dict) -> Scenario:
+    """Scenario from its JSON object; ValueError for a model parameter or
+    censor_cmax that is not positive and finite, or an n_participants that
+    is not a whole number of at least 1."""
     model = Model(obj["model"])
     p = obj["params"]
     if model is Model.PPR_EU:
         params: ModelParams = EuParams(p["alpha"], p["theta1"], p["theta0"])
     else:
         params = WeibullPhParams(p["k"], p["lambda1"], p["lambda0"])
+    _check_params(params)
+    n = float(obj["n_participants"])
+    if not n.is_integer():
+        raise ValueError(f"n_participants must be a whole number, got {obj['n_participants']}")
+    if n < 1:
+        raise ValueError(f"n_participants must be at least 1, got {int(n)}")
+    censor_cmax = obj.get("censor_cmax")
+    if censor_cmax is not None and not 0.0 < censor_cmax < math.inf:
+        raise ValueError(f"censor_cmax must be positive and finite, got {censor_cmax}")
     return make_scenario(
         model=model,
         effect_beta=float(obj["effect_beta"]),
         censor_rate=float(obj["censor_rate"]),
-        n_participants=int(obj["n_participants"]),
+        n_participants=int(n),
         seed=int(obj.get("seed", 0)),
-        censor_cmax=obj.get("censor_cmax"),
+        censor_cmax=censor_cmax,
         params=params,
     )
 
@@ -233,9 +285,6 @@ def load_grid(path) -> list[Scenario]:
         with open(path) as fh:
             raw = json.load(fh)
         scenarios = [scenario_from_dict(obj) for obj in ([raw] if isinstance(raw, dict) else raw)]
-        for s in scenarios:
-            if s.n_participants < 1:
-                raise ValueError(f"n_participants must be at least 1, got {s.n_participants}")
     except KeyError as exc:
         raise ValidationError(f"{path}: missing field {exc}") from exc
     except (OSError, TypeError, ValueError) as exc:

@@ -14,6 +14,7 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -86,7 +87,7 @@ def validate_dataset(rows: Iterable[Sequence]) -> Dataset:
             t = float(t_raw)
         except (TypeError, ValueError):
             raise ValidationError(f"unparsable time {t_raw!r} at row {i}") from None
-        if not np.isfinite(t):
+        if not math.isfinite(t):
             raise ValidationError(f"nonfinite time at row {i}")
         if t <= 0:
             raise ValidationError(f"nonpositive time at row {i}")

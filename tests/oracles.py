@@ -80,34 +80,51 @@ def nppr_oracle(time, status, group, weighting="cumhaz"):
     return num / den, used, dropped
 
 
-def cox_partial_loglik(time, status, group, b):
-    """Breslow partial log-likelihood of the group indicator at log-HR b."""
+def _cox_counts(time, status, group):
+    """(d, d1, n1, n0) at each distinct event time, each a recount over every row."""
+    rows = list(zip(time, status, group))
+    counts = []
+    for t in sorted({u for u, s, _ in rows if s == 1}):
+        d = sum(1 for u, s, _ in rows if u == t and s == 1)
+        d1 = sum(1 for u, s, g in rows if u == t and s == 1 and g == 1)
+        n1 = sum(1 for u, _, g in rows if u >= t and g == 1)
+        n0 = sum(1 for u, _, g in rows if u >= t and g == 0)
+        counts.append((d, d1, n1, n0))
+    return counts
+
+
+def _cox_loglik_from_counts(counts, b):
     ll = 0.0
-    for t in sorted({u for u, s, _ in zip(time, status, group) if s == 1}):
-        d = sum(1 for u, s, _ in zip(time, status, group) if u == t and s == 1)
-        d1 = sum(1 for u, s, g in zip(time, status, group) if u == t and s == 1 and g == 1)
-        n1 = sum(1 for u, _, g in zip(time, status, group) if u >= t and g == 1)
-        n0 = sum(1 for u, _, g in zip(time, status, group) if u >= t and g == 0)
+    for d, d1, n1, n0 in counts:
         ll += d1 * b - d * math.log(n0 + n1 * math.exp(b))
     return ll
 
 
+def cox_partial_loglik(time, status, group, b):
+    """Breslow partial log-likelihood of the group indicator at log-HR b."""
+    return _cox_loglik_from_counts(_cox_counts(time, status, group), b)
+
+
 def cox_grid_oracle(time, status, group, lo=-6.0, hi=6.0):
-    """Golden-section maximization of the partial likelihood over log-HR."""
+    """Golden-section maximization of the partial likelihood over log-HR.
+
+    The risk-set counts do not depend on b, so they are recounted once and
+    every evaluation reads them."""
+    counts = _cox_counts(time, status, group)
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c, d = b - gr * (b - a), a + gr * (b - a)
-    fc = cox_partial_loglik(time, status, group, c)
-    fd = cox_partial_loglik(time, status, group, d)
+    fc = _cox_loglik_from_counts(counts, c)
+    fd = _cox_loglik_from_counts(counts, d)
     for _ in range(200):
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + gr * (b - a)
-            fd = cox_partial_loglik(time, status, group, d)
+            fd = _cox_loglik_from_counts(counts, d)
         else:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
-            fc = cox_partial_loglik(time, status, group, c)
+            fc = _cox_loglik_from_counts(counts, c)
     return (a + b) / 2.0
 
 

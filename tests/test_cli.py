@@ -152,7 +152,8 @@ def _grid_file(tmp_path, kind):
     from proprisk.simulate import scenario_to_dict
 
     path = tmp_path / f"{kind}.json"
-    obj = scenario_to_dict(pr.default_grid()[2])
+    obj = scenario_to_dict(pr.default_grid()[2])  # a PR (EU) cell
+    weibull = scenario_to_dict(pr.default_grid()[47])
     if kind == "valid":
         path.write_text(json.dumps([obj]))
     elif kind == "invalid_json":
@@ -161,10 +162,27 @@ def _grid_file(tmp_path, kind):
         path.write_text(json.dumps([dict(obj, model="lognormal")]))
     elif kind == "no_participants":
         path.write_text(json.dumps([dict(obj, n_participants=-3)]))
+    elif kind == "fractional_participants":
+        path.write_text(json.dumps([dict(obj, n_participants=2.7)]))
+    elif kind == "negative_alpha":
+        path.write_text(json.dumps([dict(obj, params=dict(obj["params"], alpha=-1.0))]))
+    elif kind == "zero_lambda":
+        path.write_text(json.dumps([dict(weibull, params=dict(weibull["params"], lambda1=0.0))]))
+    elif kind == "negative_cmax":
+        path.write_text(json.dumps([dict(obj, censor_cmax=-5.0)]))
     return str(path)
 
 
-BAD_GRID_KINDS = ["missing", "invalid_json", "unknown_model", "no_participants"]
+BAD_GRID_KINDS = [
+    "missing",
+    "invalid_json",
+    "unknown_model",
+    "no_participants",
+    "fractional_participants",
+    "negative_alpha",
+    "zero_lambda",
+    "negative_cmax",
+]
 
 
 class TestSimulateCommand:

@@ -253,6 +253,74 @@ class TestFitPpr:
         assert len(calls) == sum(f.converged for f in fits)
 
 
+class TestBrentq:
+    """The package's Brent root against scipy's brentq: the same float."""
+
+    CASES = [
+        (lambda x: x * x - 2.0, 0.0, 2.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.exp(x) - 5.0, -3.0, 4.0),
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.tanh(20.0 * (x - 0.3)), -1.0, 1.0),
+        (lambda x: 1e-8 - x**9, 0.0, 10.0),
+        (lambda x: math.log(x) + 3.0, 1e-6, 50.0),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    @pytest.mark.parametrize("tol", [{"xtol": 1e-12}, {"xtol": 1e-9, "rtol": 1e-12}, {"xtol": 1e-3}])
+    def test_matches_scipy_closed_form(self, case, tol):
+        from scipy import optimize
+
+        f, a, b = self.CASES[case]
+        assert models._brentq(f, a, b, **tol) == optimize.brentq(f, a, b, **tol)
+        assert models._brentq(f, b, a, **tol) == optimize.brentq(f, b, a, **tol)
+
+    @pytest.mark.parametrize("effect, rate, n", [(0.5, 0.3, 500), (0.0, 0.7, 50)])
+    def test_matches_scipy_on_fit_ppr_profile(self, monkeypatch, effect, rate, n):
+        import proprisk
+        from scipy import optimize
+
+        calls = []
+        real = models._brentq
+
+        def recording(f, a, b, **kw):
+            root = real(f, a, b, **kw)
+            calls.append((f, a, b, kw, root))
+            return root
+
+        monkeypatch.setattr(models, "_brentq", recording)
+        sc = proprisk.make_scenario(proprisk.Model.PPR_EU, effect, rate, n, seed=20240801)
+        for rep in range(20):
+            fit_ppr(proprisk.simulate_dataset(sc, rep))
+        assert len(calls) >= 15
+        for f, a, b, kw, root in calls:
+            assert root == optimize.brentq(f, a, b, **kw)
+
+    def test_nan_raises(self):
+        # NaN at the bracket's end, and at the first interpolated point 0.5
+        with pytest.raises(ValueError, match="NaN"):
+            models._brentq(lambda x: math.nan if x > 0.9 else x - 0.7, 0.0, 1.0, xtol=1e-12)
+        with pytest.raises(ValueError, match="NaN"):
+            models._brentq(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, xtol=1e-12)
+
+    def test_bracket_without_sign_change_rejected(self):
+        with pytest.raises(ValueError, match="different signs"):
+            models._brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+
+    def test_exact_root_at_an_end(self):
+        assert models._brentq(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12) == 1.0
+        assert models._brentq(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-12) == 3.0
+
+    def test_maxiter_raises(self):
+        from scipy import optimize
+
+        f = lambda x: math.cos(x) - x
+        with pytest.raises(RuntimeError):
+            optimize.brentq(f, 0.0, 1.0, xtol=1e-12, maxiter=2)
+        with pytest.raises(RuntimeError):
+            models._brentq(f, 0.0, 1.0, xtol=1e-12, maxiter=2)
+
+
 class TestCoxTwoGroup:
     def test_four_row_grid_oracle(self):
         rows = [(1.0, 1, 1), (2.0, 0, 1), (1.5, 1, 0), (3.0, 0, 0)]

@@ -33,10 +33,11 @@ def test_tracer_targets_resolve(module, function):
     assert callable(getattr(importlib.import_module(module), function))
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def test_import_leaves_scipy_unloaded():
+    # the runtime needs numpy only; scipy is a test dependency
     env = dict(os.environ, PYTHONPATH=str(Path(proprisk.__file__).resolve().parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, proprisk; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", "import sys, proprisk; print(any(m.startswith('scipy') for m in sys.modules))"],
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, special, stats
 
 import proprisk as pr
 from proprisk.simulate import (
     EFFECTS,
     Model,
+    _gammainc,
+    build_default_grid,
     default_grid,
     reseed,
     save_grid,
@@ -16,6 +18,20 @@ from proprisk.simulate import (
     scenario_to_dict,
     standard_params,
 )
+
+
+def _quad_censoring_probability(model, p, c):
+    """(1/c) * integral_0^c S_mix by adaptive quadrature, breaking at the EU
+    support ends, at a tolerance far below the closed form's gate."""
+    cdf = pr.eu_cdf if model is Model.PPR_EU else pr.weibull_ph_cdf
+    points = None
+    if model is Model.PPR_EU:
+        points = [e for e in (1.0 / p.theta1, 1.0 / p.theta0) if 0.0 < e < c] or None
+    value, _ = integrate.quad(
+        lambda u: 1.0 - 0.5 * (cdf(p, 1, u) + cdf(p, 0, u)),
+        0.0, c, points=points, limit=200, epsabs=0.0, epsrel=1e-13,
+    )
+    return value / c
 
 
 class TestCalibration:
@@ -50,6 +66,43 @@ class TestCalibration:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             pr.calibrate_censoring(Model.PPR_EU, standard_params(Model.PPR_EU, 0.0), 1.5)
+
+    @pytest.mark.parametrize("params", [
+        pr.EuParams(-1.0, 0.005, 0.009),
+        pr.EuParams(0.859, 0.0, 0.009),
+        pr.EuParams(0.859, 0.005, math.inf),
+        pr.WeibullPhParams(0.916, 0.0, 88.296),
+        pr.WeibullPhParams(-0.916, 145.575, 88.296),
+        pr.WeibullPhParams(0.916, 145.575, math.nan),
+    ])
+    def test_non_positive_parameter_rejected(self, params):
+        model = Model.PPR_EU if isinstance(params, pr.EuParams) else Model.WEIBULL_PH
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            pr.calibrate_censoring(model, params, 0.3)
+
+    def test_closed_form_matches_quadrature(self):
+        # c from 0.1x to 20x each shipped c_max: both sides of every EU support
+        # end, and both branches (series, continued fraction) of P(1/k, x)
+        cells = {(s.model, s.effect_beta, s.censor_rate): (s.params, s.censor_cmax) for s in default_grid()}
+        assert len(cells) == 30
+        sides, branches = set(), set()
+        for (model, _, _), (p, c_max) in cells.items():
+            for c in c_max * np.geomspace(0.1, 20.0, 15):
+                got = pr.censoring_probability(model, p, c)
+                assert got == pytest.approx(_quad_censoring_probability(model, p, c), rel=0, abs=1e-13)
+                if model is Model.PPR_EU:
+                    sides.update((g, c > 1.0 / p.theta(g)) for g in (0, 1))
+                else:
+                    branches.update((c / p.scale(g)) ** p.k < 1.0 / p.k + 1.0 for g in (0, 1))
+        assert sides == {(g, beyond) for g in (0, 1) for beyond in (False, True)}
+        assert branches == {False, True}
+
+    def test_gammainc_matches_scipy(self):
+        for a in (0.2, 1.0 / 0.916, 5.0, 30.0):
+            for x in np.geomspace(1e-6, 1e3, 40):
+                assert _gammainc(a, x) == pytest.approx(special.gammainc(a, x), rel=1e-13, abs=1e-15)
+        assert _gammainc(2.0, 0.0) == 0.0
+        assert _gammainc(2.0, math.inf) == 1.0
 
 
 class TestSimulateDataset:
@@ -146,6 +199,30 @@ class TestGridSerialization:
         with pytest.raises(pr.ValidationError, match=r"grid\.json: n_participants must be at least 1"):
             pr.load_grid(path)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"params": {"alpha": -1.0}}, "model parameter alpha must be positive"),
+        ({"params": {"theta0": 0.0}}, "model parameter theta0 must be positive"),
+        ({"censor_cmax": -5.0}, "censor_cmax must be positive"),
+        ({"censor_cmax": 0.0}, "censor_cmax must be positive"),
+        ({"n_participants": 2.7}, "n_participants must be a whole number"),
+    ])
+    def test_load_grid_rejects_bad_eu_scenario(self, tmp_path, change, message):
+        obj = scenario_to_dict(pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 60, seed=2))
+        for key, value in change.items():
+            obj[key] = dict(obj[key], **value) if isinstance(value, dict) else value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([obj]))
+        with pytest.raises(pr.ValidationError, match=rf"bad\.json: {message}"):
+            pr.load_grid(path)
+
+    def test_load_grid_rejects_zero_weibull_scale(self, tmp_path):
+        obj = scenario_to_dict(pr.make_scenario(Model.WEIBULL_PH, 0.5, 0.3, 60, seed=2))
+        obj["params"]["lambda1"] = 0.0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(pr.ValidationError, match=r"bad\.json: model parameter lambda1 must be positive"):
+            pr.load_grid(path)
+
     def test_default_grid_shape(self):
         grid = default_grid()
         assert len(grid) == 90
@@ -154,11 +231,12 @@ class TestGridSerialization:
         assert {s.n_participants for s in grid} == {50, 100, 500}
 
     def test_default_grid_matches_fresh_calibration(self):
-        grid = default_grid()
-        probe = [s for s in grid if s.model is Model.PPR_EU and s.effect_beta == 0.5
-                 and s.censor_rate == 0.3][0]
-        fresh = pr.calibrate_censoring(probe.model, probe.params, probe.censor_rate)
-        assert probe.censor_cmax == pytest.approx(fresh, rel=1e-6)
+        shipped, fresh = default_grid(), build_default_grid()
+        assert len(fresh) == len(shipped) == 90
+        for a, b in zip(shipped, fresh):
+            assert (a.model, a.effect_beta, a.params, a.censor_rate, a.n_participants) == (
+                b.model, b.effect_beta, b.params, b.censor_rate, b.n_participants)
+            assert b.censor_cmax == pytest.approx(a.censor_cmax, rel=1e-11)
 
     def test_default_grid_table_parameters(self):
         grid = default_grid()
