@@ -24,7 +24,6 @@ from .models import (
     weibull_ph_quantile,
 )
 from .nppr import (
-    EventTimeSet,
     NpprEstimate,
     NpprResult,
     PointwiseSet,
@@ -58,14 +57,8 @@ from .simulate import (
 from .study import ScenarioResult, run_scenario, summarize_grid
 from .survival import (
     Dataset,
-    SurvivalCurve,
-    cdf_at,
-    cumhaz_variance_at,
     kaplan_meier,
-    km_from_arrays,
-    survival_at,
     validate_dataset,
-    variance_at,
 )
 
 __version__ = "0.1.0"

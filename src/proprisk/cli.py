@@ -18,8 +18,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bootstrap import BootstrapConfig, percentile_bootstrap
 from .errors import EstimationError, ValidationError
 from .models import cox_two_group, fit_ppr
@@ -27,7 +25,6 @@ from .nppr import nppr_fit
 from .reporting import build_report, emit_report, read_dataset_csv, write_dataset_csv
 from .simulate import default_grid, load_grid, reseed, simulate_dataset
 from .study import GRID_COLUMNS, run_scenario, summarize_grid
-from .survival import cdf_at
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -168,10 +165,9 @@ def _cmd_plotdata(args) -> int:
     writer = csv.writer(sys.stdout)
     if args.series == "cdf":
         result = nppr_fit(data)
-        grid = np.unique(np.concatenate([result.curve1.event_times, result.curve0.event_times]))
         writer.writerow(["time", "cdf_treatment", "cdf_control"])
-        for t in grid:
-            writer.writerow([repr(float(t)), repr(cdf_at(result.curve1, t)), repr(cdf_at(result.curve0, t))])
+        for t, (c0, c1) in zip(result.event_times, result.cdf):
+            writer.writerow([repr(float(t)), repr(float(c1)), repr(float(c0))])
         return EXIT_OK
 
     result = nppr_fit(data)

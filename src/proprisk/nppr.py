@@ -4,19 +4,21 @@ Under the proportional-risk assumption the two groups' CDFs satisfy
 F1(t) = exp(-beta) * F0(t) for all t. The estimator evaluates
 beta_t = -log(F1(t)/F0(t)) at every event time of either group inside the
 overlap window [max of the two first event times, min of the two last event
-times] and averages the beta_t with inverse-variance weights. Tied event
-times contribute one term per occurrence.
+times] and averages the beta_t with inverse-variance weights 1/omega(t).
+A time with m tied events counts m times.
 
-Weighting variants, selected by ``weighting``:
+Each group's uncertainty term is the variance of its log Kaplan-Meier
+estimate, the bare Greenwood sum (the quantity R's survfit reports as
+std.err squared), divided by F(t)^2: omega = G1/F1^2 + G0/F0^2. This is
+the convention under which the bundled simulation study reproduces its
+reference results; it down-weights late event times.
 
-* ``"cumhaz"`` (default): each group's uncertainty term is the variance of
-  its log Kaplan-Meier estimate (the bare Greenwood sum, the quantity R's
-  survfit reports as std.err squared) divided by F(t)^2. This is the
-  convention under which the bundled simulation study reproduces its
-  reference results; it down-weights late event times.
-* ``"delta"``: the delta-method variance of log F(t), Var(S(t))/F(t)^2.
-  Textbook-exact for Var(log F); gives almost all weight to the latest
-  event times when follow-up reaches high event probabilities.
+One kernel, ``fit_tables``, computes the estimate for a batch of count
+tables (B, K + 1, 2, 2) over a shared event-time grid (see
+``survival.EventGrid``): ``nppr_fit`` runs it on the identity table of the
+data, the bootstrap on chunks of resample tables. Its stages,
+``survival.kaplan_meier``, ``build_event_time_set``, ``pointwise_log_rr``
+and ``nppr_point_estimate``, are array operations over (B, K) or (B, K, 2).
 
 The derived absolute measures are the risk difference
 RD(t) = (1 - exp(-beta)) * F0(t) and the number needed to treat 1/RD(t).
@@ -25,57 +27,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EstimationError
-from .survival import (
-    Dataset,
-    SurvivalCurve,
-    cdf_at,
-    cumhaz_variance_at,
-    kaplan_meier,
-    variance_at,
-)
-
-WEIGHTINGS = ("cumhaz", "delta")
-
-
-@dataclass(frozen=True, eq=False)
-class EventTimeSet:
-    """Restricted event-time multiset of both groups, ties retained.
-
-    ``times`` is sorted ascending and may be empty, which signals that the
-    estimator is undefined on this data.
-    """
-
-    t_min: float
-    t_max: float
-    times: np.ndarray
-
-    def __len__(self) -> int:
-        return self.times.shape[0]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.times.shape[0] == 0
+from .survival import Dataset, event_grid, kaplan_meier
 
 
 @dataclass(frozen=True, eq=False)
 class PointwiseSet:
-    """Usable pointwise estimates as parallel arrays, plus the count of
-    multiset entries dropped for undefined or zero weighting variance.
-
-    ``var1``/``var0`` are the group uncertainty summands of the selected
-    weighting; ``weight_var`` is their sum omega(t), the weighting variance
-    of beta_t.
-    """
+    """Usable pointwise estimates as parallel arrays, one row per event
+    (a time with m tied events appears m times), plus the count of events
+    in the window dropped for an undefined or zero omega(t)."""
 
     times: np.ndarray
     beta_t: np.ndarray
-    var1: np.ndarray
-    var0: np.ndarray
-    weight_var: np.ndarray
+    weight_var: np.ndarray  # omega(t), the variance that sets the weight of beta_t
     n_dropped: int
 
     def __len__(self) -> int:
@@ -87,7 +55,7 @@ class NpprEstimate:
     """Inverse-variance-weighted summary of the pointwise log-RR values."""
 
     beta: float
-    total_weight: float  # W = sum of 1/omega(t)
+    total_weight: float  # W = sum of m/omega(t)
     rr: float  # exp(-beta)
     n_times_used: int
 
@@ -106,109 +74,113 @@ class RiskDifferenceCurve:
 
 @dataclass(frozen=True, eq=False)
 class NpprResult:
-    """Full output of one NPPR fit, kept for reporting and resampling."""
+    """Full output of one NPPR fit, kept for reporting.
+
+    ``event_times`` (K,) are the distinct event times of the data and
+    ``cdf`` (K, 2) the Kaplan-Meier CDFs of the control (column 0) and
+    treatment (column 1) groups there; [t_min, t_max] is the window.
+    """
 
     estimate: NpprEstimate
     points: PointwiseSet
-    tset: EventTimeSet
-    curve1: SurvivalCurve
-    curve0: SurvivalCurve
+    t_min: float
+    t_max: float
+    event_times: np.ndarray
+    cdf: np.ndarray
 
 
-def build_event_time_set(raw_event_times_1, raw_event_times_0) -> EventTimeSet:
-    """Restrict the pooled event-time multiset to the overlap window.
+class TableFit(NamedTuple):
+    """The kernel's stage outputs for B count tables over K event times."""
 
-    ``raw_event_times_*`` are each group's event times with multiplicity.
-    Returns an empty set when either group has no events or the window is
-    empty (all of one group's events precede the other's first event).
-    """
-    t1 = np.asarray(raw_event_times_1, dtype=float)
-    t0 = np.asarray(raw_event_times_0, dtype=float)
-    if t1.size == 0 or t0.size == 0:
-        return EventTimeSet(math.nan, math.nan, np.empty(0))
-    t_min = max(t1.min(), t0.min())
-    t_max = min(t1.max(), t0.max())
-    if t_min > t_max:
-        return EventTimeSet(t_min, t_max, np.empty(0))
-    pooled = np.concatenate([t1, t0])
-    times = np.sort(pooled[(pooled >= t_min) & (pooled <= t_max)])
-    return EventTimeSet(float(t_min), float(t_max), times)
+    surv: np.ndarray  # (B, K, 2) Kaplan-Meier survival per group
+    m: np.ndarray  # (B, K) events of both groups at each time
+    window: np.ndarray  # (B, K) event times inside the overlap window
+    beta_t: np.ndarray  # (B, K)
+    omega: np.ndarray  # (B, K)
+    usable: np.ndarray  # (B, K) in the window, omega finite and positive
+    beta: np.ndarray  # (B,) NaN where no time is usable
+    total_weight: np.ndarray  # (B,)
 
 
-def pointwise_log_rr(
-    curve1: SurvivalCurve,
-    curve0: SurvivalCurve,
-    tset: EventTimeSet,
-    weighting: str = "cumhaz",
-) -> PointwiseSet:
-    """Evaluate beta_t and its weighting variance at every multiset entry.
-
-    Entries where either group's variance term is undefined or infinite, or
-    where the summed variance is zero, are dropped and counted; if nothing
-    remains the estimate is undefined and an EstimationError is raised.
-    """
-    if weighting not in WEIGHTINGS:
-        raise ValueError(f"weighting must be one of {WEIGHTINGS}")
-    if tset.is_empty:
-        raise EstimationError("event-time set is empty")
-    f1 = np.asarray(cdf_at(curve1, tset.times))
-    f0 = np.asarray(cdf_at(curve0, tset.times))
-    # t >= t_min guarantees at least one event step in each group, so F > 0
-    beta_t = -np.log(f1 / f0)
-    var_lookup = cumhaz_variance_at if weighting == "cumhaz" else variance_at
-    v1 = np.asarray(var_lookup(curve1, tset.times)) / f1**2
-    v0 = np.asarray(var_lookup(curve0, tset.times)) / f0**2
-    omega = v1 + v0
-    usable = np.isfinite(omega) & (omega > 0)
-    n_dropped = int(np.size(usable) - np.count_nonzero(usable))
-    if not np.any(usable):
-        raise EstimationError("all event times dropped (degenerate variances)")
-    return PointwiseSet(
-        times=tset.times[usable],
-        beta_t=beta_t[usable],
-        var1=v1[usable],
-        var0=v0[usable],
-        weight_var=omega[usable],
-        n_dropped=n_dropped,
-    )
+def build_event_time_set(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The overlap window of the events d (..., K, 2): a mask (..., K) of the
+    times with an event that lie at or after each group's first event and at
+    or before each group's last, and the events m (..., K) of both groups,
+    the multiplicity of each time. The window is empty when a group has no
+    events or all of one group's events precede the other's first."""
+    c = np.cumsum(d, axis=-2)
+    inside = (c > 0) & (c - d < c[..., -1:, :])  # an event at or before, and one at or after
+    m = d[..., 0] + d[..., 1]  # not .sum(axis=-1): slow over a length-2 axis
+    return inside[..., 0] & inside[..., 1] & (m > 0), m
 
 
-def nppr_point_estimate(points: PointwiseSet) -> NpprEstimate:
-    """Weighted mean of the pointwise estimates, weights 1/omega(t).
-
-    Each multiset entry contributes its own term, so a time occurring m
-    times adds m identical terms to both sums. Terms are accumulated in
-    ascending-time order.
-    """
-    if len(points) == 0:
-        raise EstimationError("no usable pointwise estimates")
-    w = 1.0 / points.weight_var
-    total = float(np.sum(w))
-    beta = float(np.sum(w * points.beta_t) / total)
-    return NpprEstimate(beta=beta, total_weight=total, rr=math.exp(-beta), n_times_used=len(points))
+def pointwise_log_rr(surv: np.ndarray, gsum: np.ndarray, window: np.ndarray):
+    """beta_t = -log(F1/F0) and omega = G1/F1^2 + G0/F0^2 at every time from
+    the survival and Greenwood sums (..., K, 2), and the mask of usable
+    times: in the window with a finite, positive omega. Times outside the
+    window hold infinities and NaNs."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = 1.0 - surv
+        beta_t = -np.log(f[..., 1] / f[..., 0])
+        v = gsum / f**2
+        omega = v[..., 1] + v[..., 0]
+    return beta_t, omega, window & np.isfinite(omega) & (omega > 0)
 
 
-def risk_difference_curve(
-    estimate: NpprEstimate, curve0: SurvivalCurve, times
-) -> RiskDifferenceCurve:
-    """RD(t) = (1 - exp(-beta)) * F0(t) and NNT(t) = 1/RD(t) on a time grid."""
-    ts = np.sort(np.asarray(times, dtype=float))
-    f0 = np.asarray(cdf_at(curve0, ts))
-    rd = (1.0 - estimate.rr) * f0
+def nppr_point_estimate(beta_t, omega, usable, m) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted mean of beta_t over the usable times, weights m/omega, and
+    the total weight; the mean is NaN where no time is usable."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = 1.0 / omega
+        total = np.where(usable, m * w, 0.0).sum(axis=-1)
+        beta = np.where(usable, m * (w * beta_t), 0.0).sum(axis=-1) / total
+    return np.where(usable.any(axis=-1), beta, math.nan), total
+
+
+def fit_tables(table: np.ndarray) -> TableFit:
+    """NPPR fit of each count table (B, K + 1, 2, 2); beta is NaN where the
+    estimate is undefined (a group without events, an empty window, no
+    usable time)."""
+    d, surv, gsum = kaplan_meier(table)
+    window, m = build_event_time_set(d)
+    beta_t, omega, usable = pointwise_log_rr(surv, gsum, window)
+    beta, total = nppr_point_estimate(beta_t, omega, usable, m)
+    return TableFit(surv, m, window, beta_t, omega, usable, beta, total)
+
+
+def risk_difference_curve(estimate: NpprEstimate, times, f0) -> RiskDifferenceCurve:
+    """RD(t) = (1 - exp(-beta)) * F0(t) and NNT(t) = 1/RD(t) at the times
+    ``times``, where the control group's CDF is ``f0``."""
+    rd = (1.0 - estimate.rr) * np.asarray(f0, dtype=float)
     with np.errstate(divide="ignore"):
         nnt = np.where(rd != 0.0, 1.0 / np.where(rd != 0.0, rd, 1.0), math.nan)
-    return RiskDifferenceCurve(times=ts, rd=rd, nnt=nnt)
+    return RiskDifferenceCurve(times=np.asarray(times, dtype=float), rd=rd, nnt=nnt)
 
 
-def nppr_fit(data: Dataset, weighting: str = "cumhaz") -> NpprResult:
-    """Run the whole estimation pipeline on a two-group dataset.
+def nppr_fit(data: Dataset) -> NpprResult:
+    """Run the estimator on a two-group dataset: ``fit_tables`` on its
+    identity table.
 
-    Raises EstimationError when the restricted event-time set is empty or
-    every entry is dropped.
+    Raises EstimationError when the overlap window is empty or every time
+    in it is dropped.
     """
-    curve1 = kaplan_meier(data, 1)
-    curve0 = kaplan_meier(data, 0)
-    tset = build_event_time_set(data.event_times(1), data.event_times(0))
-    points = pointwise_log_rr(curve1, curve0, tset, weighting=weighting)
-    estimate = nppr_point_estimate(points)
-    return NpprResult(estimate=estimate, points=points, tset=tset, curve1=curve1, curve0=curve0)
+    grid = event_grid(data)
+    fit = fit_tables(grid.table()[None])
+    window, usable, m = fit.window[0], fit.usable[0], fit.m[0]
+    if not window.any():
+        raise EstimationError("event-time set is empty")
+    if not usable.any():
+        raise EstimationError("all event times dropped (degenerate variances)")
+    reps = m[usable]
+    points = PointwiseSet(
+        times=np.repeat(grid.event_times[usable], reps),
+        beta_t=np.repeat(fit.beta_t[0, usable], reps),
+        weight_var=np.repeat(fit.omega[0, usable], reps),
+        n_dropped=int(m[window & ~usable].sum()),
+    )
+    beta = float(fit.beta[0])
+    estimate = NpprEstimate(beta, float(fit.total_weight[0]), math.exp(-beta), len(points))
+    t_window = grid.event_times[window]
+    return NpprResult(
+        estimate, points, float(t_window[0]), float(t_window[-1]), grid.event_times, 1.0 - fit.surv[0]
+    )

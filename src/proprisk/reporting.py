@@ -36,11 +36,17 @@ def read_dataset_csv(path) -> Dataset:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     with fh:
         reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        missing = [c for c in REQUIRED_COLUMNS if c not in fields]
-        if missing:
-            raise ValidationError(f"missing column(s): {', '.join(missing)}")
-        rows = [(rec["time"], rec["status"], rec["group"]) for rec in reader]
+        try:
+            fields = reader.fieldnames or []
+            missing = [c for c in REQUIRED_COLUMNS if c not in fields]
+            if missing:
+                raise ValidationError(f"missing column(s): {', '.join(missing)}")
+            repeated = [c for c in REQUIRED_COLUMNS if fields.count(c) > 1]
+            if repeated:
+                raise ValidationError(f"repeated column(s): {', '.join(repeated)}")
+            rows = [(rec["time"], rec["status"], rec["group"]) for rec in reader]
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
     return validate_dataset(rows)
 
 
@@ -69,8 +75,8 @@ class AnalysisReport:
 
 def build_report(result: NpprResult, bootstrap: BootstrapResult | None) -> AnalysisReport:
     est = result.estimate
-    grid = np.unique(result.tset.times)
-    rd = risk_difference_curve(est, result.curve0, grid)
+    window = (result.event_times >= result.t_min) & (result.event_times <= result.t_max)
+    rd = risk_difference_curve(est, result.event_times[window], result.cdf[window, 0])
     pointwise = [
         (float(t), float(b), float(1.0 / w))
         for t, b, w in zip(result.points.times, result.points.beta_t, result.points.weight_var)
@@ -81,8 +87,8 @@ def build_report(result: NpprResult, bootstrap: BootstrapResult | None) -> Analy
         ci_beta=bootstrap.ci_beta if bootstrap else None,
         ci_rr=bootstrap.ci_rr if bootstrap else None,
         n_times_used=est.n_times_used,
-        t_min=result.tset.t_min,
-        t_max=result.tset.t_max,
+        t_min=result.t_min,
+        t_max=result.t_max,
         rd_nnt_series=rd,
         pointwise_series=pointwise,
     )

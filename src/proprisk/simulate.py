@@ -249,8 +249,9 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def scenario_from_dict(obj: dict) -> Scenario:
     """Scenario from its JSON object; ValueError for a model parameter or
-    censor_cmax that is not positive and finite, or an n_participants that
-    is not a whole number of at least 1."""
+    censor_cmax that is not positive and finite, an n_participants that is
+    not a whole number of at least 1, a censor_rate outside (0, 1) or a
+    non-finite effect_beta."""
     model = Model(obj["model"])
     p = obj["params"]
     if model is Model.PPR_EU:
@@ -266,10 +267,15 @@ def scenario_from_dict(obj: dict) -> Scenario:
     censor_cmax = obj.get("censor_cmax")
     if censor_cmax is not None and not 0.0 < censor_cmax < math.inf:
         raise ValueError(f"censor_cmax must be positive and finite, got {censor_cmax}")
+    effect_beta, censor_rate = float(obj["effect_beta"]), float(obj["censor_rate"])
+    if not math.isfinite(effect_beta):
+        raise ValueError(f"effect_beta must be finite, got {effect_beta}")
+    if not 0.0 < censor_rate < 1.0:
+        raise ValueError(f"censor_rate must be in (0, 1), got {censor_rate}")
     return make_scenario(
         model=model,
-        effect_beta=float(obj["effect_beta"]),
-        censor_rate=float(obj["censor_rate"]),
+        effect_beta=effect_beta,
+        censor_rate=censor_rate,
         n_participants=int(n),
         seed=int(obj.get("seed", 0)),
         censor_cmax=censor_cmax,

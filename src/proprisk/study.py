@@ -83,7 +83,6 @@ def run_scenario(
     if fit_competitor is None:
         fit_competitor = scenario.model is Model.PPR_EU
     true_beta = scenario.effect_beta
-    weighting = "cumhaz"
 
     nppr_err: list[float] = []
     ppr_err: list[float] = []
@@ -98,12 +97,12 @@ def run_scenario(
         data = simulate_dataset(scenario, rep)
 
         try:
-            beta = nppr_fit(data, weighting).estimate.beta
+            beta = nppr_fit(data).estimate.beta
             nppr_err.append(beta - true_beta)
             if with_coverage:
                 cfg = replace(bootstrap_config, seed=_bootstrap_seed(scenario, rep))
                 try:
-                    ci = percentile_bootstrap(data, cfg, weighting).ci_beta
+                    ci = percentile_bootstrap(data, cfg).ci_beta
                     nppr_cover.append(float(ci.lower <= true_beta <= ci.upper))
                 except EstimationError:
                     pass

@@ -5,10 +5,10 @@ Conventions fixed here and relied on everywhere else:
 * status 1 = event, 0 = right-censored; group 1 = treatment, 0 = control.
 * At tied times, events are processed before censorings: a subject censored
   at t is still at risk for the event step at t.
-* Step functions are right-continuous; the step at an event time is included
-  when evaluating at exactly that time.
-* The Greenwood variance is marked undefined (NaN) from the first step where
-  the risk set is exhausted (n_j == d_j, survival hits zero) onwards.
+* Kaplan-Meier curves live on the shared grid of distinct event times and
+  are right-continuous: the step at an event time is included there.
+* The Greenwood sum is +inf from the first step where a group's risk set
+  is exhausted (n_j == d_j, survival hits zero) onwards.
 * Times are compared exactly; tied times in real data are recorded
   identically, no epsilon games.
 """
@@ -56,11 +56,6 @@ class Dataset:
         """(times, status) of one group, in row order."""
         mask = self.group == group
         return self.time[mask], self.status[mask]
-
-    def event_times(self, group: int) -> np.ndarray:
-        """Event times of one group as a multiset (ties retained), sorted."""
-        mask = (self.group == group) & (self.status == 1)
-        return np.sort(self.time[mask])
 
     def take(self, indices) -> "Dataset":
         """Row subset/resample by index, without re-validation."""
@@ -114,68 +109,6 @@ def validate_dataset(rows: Iterable[Sequence]) -> Dataset:
 
 
 @dataclass(frozen=True, eq=False)
-class SurvivalCurve:
-    """Kaplan-Meier step function of one group with Greenwood variances.
-
-    All arrays are indexed by the distinct event times. ``greenwood_var`` is
-    Var(S(t)), NaN where undefined (risk set exhausted); ``cumhaz_var`` is
-    the bare Greenwood sum, the variance of log S(t) on the cumulative-hazard
-    scale, +inf where the risk set is exhausted. Empty arrays mean the group
-    had no events; the curve is then identically 1.
-    """
-
-    event_times: np.ndarray
-    survival: np.ndarray
-    greenwood_var: np.ndarray
-    cumhaz_var: np.ndarray
-    at_risk: np.ndarray
-    events: np.ndarray
-
-    def __len__(self) -> int:
-        return self.event_times.shape[0]
-
-
-def km_from_arrays(times: np.ndarray, status: np.ndarray) -> SurvivalCurve:
-    """Product-limit estimate from one group's raw (times, status) arrays."""
-    times = np.asarray(times, dtype=float)
-    status = np.asarray(status)
-    n = times.shape[0]
-    if n == 0 or not np.any(status == 1):
-        empty = _frozen(np.empty(0))
-        empty_i = _frozen(np.empty(0, dtype=np.int64))
-        return SurvivalCurve(
-            empty, _frozen(np.empty(0)), _frozen(np.empty(0)), _frozen(np.empty(0)), empty_i, empty_i
-        )
-
-    order = np.argsort(times, kind="stable")
-    t = times[order]
-    e = np.asarray(status, dtype=np.int64)[order]
-
-    uniq, first_idx = np.unique(t, return_index=True)
-    d = np.add.reduceat(e, first_idx)
-    # sorted ascending, so #\{time >= uniq[k]\} = n - first occurrence index
-    at_risk = n - first_idx
-
-    has_event = d > 0
-    event_times = uniq[has_event]
-    d_j = d[has_event]
-    n_j = at_risk[has_event]
-
-    surv = np.cumprod(1.0 - d_j / n_j)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        greenwood_sum = np.cumsum(d_j / (n_j * (n_j - d_j)))
-        var = surv**2 * greenwood_sum  # 0 * inf -> NaN where n_j == d_j
-    return SurvivalCurve(
-        _frozen(event_times),
-        _frozen(surv),
-        _frozen(var),
-        _frozen(greenwood_sum),
-        _frozen(n_j.astype(np.int64)),
-        _frozen(d_j.astype(np.int64)),
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class EventGrid:
     """The distinct event times of a dataset and each row's cell in them.
 
@@ -208,7 +141,9 @@ class EventGrid:
 
 def event_grid(data: Dataset) -> EventGrid:
     """The shared event-time grid of a dataset (see ``EventGrid``)."""
-    event_times = np.unique(data.time[data.status == 1])
+    # not np.unique: its first call imports numpy.ma (about 10 ms and 1.5 MB)
+    times = np.sort(data.time[data.status == 1])
+    event_times = times[np.diff(times, prepend=-np.inf) > 0]
     bins = np.searchsorted(event_times, data.time, side="right")
     return EventGrid(_frozen(event_times), _frozen((bins * 2 + data.group) * 2 + data.status))
 
@@ -222,42 +157,17 @@ def events_at_risk(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table[..., 1:, :, 1], at_risk[..., 1:, :]
 
 
-def kaplan_meier(data: Dataset, group: int) -> SurvivalCurve:
-    """Kaplan-Meier curve of one group of a Dataset."""
-    times, status = data.group_arrays(group)
-    return km_from_arrays(times, status)
+def kaplan_meier(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kaplan-Meier estimate of both groups of count tables (..., K + 1, 2, 2).
 
-
-def _step_values(curve: SurvivalCurve, values: np.ndarray, t, before):
-    """Right-continuous step lookup of per-event-time values at times t."""
-    ts = np.asarray(t, dtype=float)
-    if values.shape[0] == 0:
-        out = np.full(ts.shape, before)
-        return out if ts.ndim else float(before)
-    idx = np.searchsorted(curve.event_times, ts, side="right") - 1
-    out = np.where(idx >= 0, values[np.maximum(idx, 0)], before)
-    return out if ts.ndim else float(out)
-
-
-def survival_at(curve: SurvivalCurve, t):
-    """S(t) as a right-continuous step function; 1 before the first event."""
-    return _step_values(curve, curve.survival, t, 1.0)
-
-
-def variance_at(curve: SurvivalCurve, t):
-    """Greenwood Var(S(t)), carried forward between event times; 0 before
-    the first event; NaN where undefined."""
-    return _step_values(curve, curve.greenwood_var, t, 0.0)
-
-
-def cumhaz_variance_at(curve: SurvivalCurve, t):
-    """Var(log S(t)), the bare Greenwood sum, carried forward between event
-    times; 0 before the first event; +inf where the risk set is exhausted."""
-    return _step_values(curve, curve.cumhaz_var, t, 0.0)
-
-
-def cdf_at(curve: SurvivalCurve, t):
-    """F(t) = 1 - S(t), right-continuous; 0 before the first event time."""
-    ts = np.asarray(t, dtype=float)
-    out = 1.0 - np.asarray(survival_at(curve, ts))
-    return out if ts.ndim else float(out)
+    Returns the events d, the survival S and the Greenwood sum
+    G = sum d/(n(n - d)), the variance of log S, each (..., K, 2) over the
+    shared event times. A column where a group has no event enters its
+    product as 1.0 and its sum as 0.0, so S and G are carried forward
+    exactly as right-continuous step functions; G is +inf from the step
+    where the group's risk set is exhausted.
+    """
+    d, n = events_at_risk(table)
+    n = np.maximum(n, 1)  # an empty risk set has no event; keeps 1.0 and 0.0 exact
+    with np.errstate(divide="ignore"):
+        return d, np.cumprod(1.0 - d / n, axis=-2), np.cumsum(d / (n * (n - d)), axis=-2)

@@ -1,8 +1,11 @@
 """Brute-force reference implementations, deliberately independent of the
 package's vectorized code paths: pure-Python loops, explicit risk-set
-recounts per time, no shared helpers."""
+recounts per time, no shared helpers. ``nppr_scalar`` is the exception: a
+per-dataset numpy pipeline, fast enough to refit every bootstrap resample."""
 import math
 from statistics import NormalDist
+
+import numpy as np
 
 
 def km_oracle(pairs):
@@ -40,7 +43,7 @@ def _lookup(table, t, defaults):
     return defaults if best is None else best[1:]
 
 
-def nppr_oracle(time, status, group, weighting="cumhaz"):
+def nppr_oracle(time, status, group):
     """First-principles recomputation of the weighted log-RR summary.
 
     Returns (beta, n_used, n_dropped), or None when the estimator is
@@ -61,13 +64,10 @@ def nppr_oracle(time, status, group, weighting="cumhaz"):
     num = den = 0.0
     used = dropped = 0
     for t in pooled:
-        s1, v1, c1, _, _ = _lookup(km1, t, defaults)
-        s0, v0, c0, _, _ = _lookup(km0, t, defaults)
+        s1, _, c1, _, _ = _lookup(km1, t, defaults)
+        s0, _, c0, _, _ = _lookup(km0, t, defaults)
         f1, f0 = 1.0 - s1, 1.0 - s0
-        if weighting == "cumhaz":
-            omega = c1 / f1**2 + c0 / f0**2
-        else:
-            omega = v1 / f1**2 + v0 / f0**2
+        omega = c1 / f1**2 + c0 / f0**2
         if not math.isfinite(omega) or omega <= 0:
             dropped += 1
             continue
@@ -78,6 +78,52 @@ def nppr_oracle(time, status, group, weighting="cumhaz"):
     if used == 0:
         return None
     return num / den, used, dropped
+
+
+def _km_steps(times, status):
+    """One group's distinct event times, Kaplan-Meier survival and Greenwood
+    sums (+inf once the risk set is exhausted), by sorting its rows."""
+    order = np.argsort(times, kind="stable")
+    t, e = times[order], status[order].astype(np.int64)
+    uniq, first = np.unique(t, return_index=True)
+    d = np.add.reduceat(e, first)
+    n = t.size - first  # rows at or after each distinct time
+    keep = d > 0
+    d, n = d[keep], n[keep]
+    with np.errstate(divide="ignore"):
+        return uniq[keep], np.cumprod(1.0 - d / n), np.cumsum(d / (n * (n - d)))
+
+
+def _step(event_times, values, t, before):
+    """Right-continuous step function through (event_times, values) at t."""
+    idx = np.searchsorted(event_times, t, side="right") - 1
+    return np.where(idx >= 0, values[np.maximum(idx, 0)], before)
+
+
+def nppr_scalar(time, status, group):
+    """NPPR beta of one dataset the scalar way: a Kaplan-Meier step function
+    per group, the window's event-time multiset (ties retained), step
+    lookups at each entry and a mean over the multiset; None where the
+    estimate is undefined."""
+    time, status, group = np.asarray(time, dtype=float), np.asarray(status), np.asarray(group)
+    ev1 = np.sort(time[(group == 1) & (status == 1)])
+    ev0 = np.sort(time[(group == 0) & (status == 1)])
+    if ev1.size == 0 or ev0.size == 0:
+        return None
+    t_min, t_max = max(ev1[0], ev0[0]), min(ev1[-1], ev0[-1])
+    pooled = np.sort(np.concatenate([ev1, ev0]))
+    times = pooled[(pooled >= t_min) & (pooled <= t_max)]
+    f, v = [], []
+    for g in (1, 0):
+        event_times, surv, gsum = _km_steps(time[group == g], status[group == g])
+        f.append(1.0 - _step(event_times, surv, times, 1.0))  # > 0 inside the window
+        v.append(_step(event_times, gsum, times, 0.0) / f[-1] ** 2)
+    omega = v[0] + v[1]
+    usable = np.isfinite(omega) & (omega > 0)
+    if not usable.any():
+        return None
+    w = 1.0 / omega[usable]
+    return float(np.sum(w * -np.log(f[0][usable] / f[1][usable])) / np.sum(w))
 
 
 def _cox_counts(time, status, group):

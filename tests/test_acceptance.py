@@ -25,6 +25,7 @@ import proprisk as pr
 from proprisk.reporting import read_dataset_csv, report_from_json
 from proprisk.simulate import Model, default_grid_path
 from proprisk.study import run_scenario
+from proprisk.survival import event_grid, events_at_risk
 
 from oracles import cox_grid_oracle, km_oracle, nppr_oracle
 
@@ -313,21 +314,23 @@ def test_criterion_6_km_exhaustive_enumeration():
                 status.append(m & 1)
                 group.append((m >> 1) & 1)
                 m >>= 2
+            grid = event_grid(pr.Dataset.from_columns(times, status, group))
+            table = grid.table()[None]
+            events, surv, gsum = pr.kaplan_meier(table)
+            at_risk = events_at_risk(table)[1]
             for g in (0, 1):
                 rows = [(t, s) for t, s, gg in zip(times, status, group) if gg == g]
                 expected = km_oracle(rows)
-                curve = pr.km_from_arrays(
-                    np.array([t for t, _ in rows]), np.array([s for _, s in rows])
-                )
-                assert len(curve) == len(expected)
-                for j, (t, surv, var, _, n_at, d) in enumerate(expected):
-                    assert curve.event_times[j] == t
-                    assert curve.at_risk[j] == n_at and curve.events[j] == d
-                    worst = max(worst, abs(curve.survival[j] - surv))
-                    if math.isnan(var):
-                        assert math.isnan(curve.greenwood_var[j])
+                own = np.flatnonzero(events[0, :, g])  # the group's own event times
+                assert len(own) == len(expected)
+                for j, (t, s, var, _, n_at, d) in zip(own, expected):
+                    assert grid.event_times[j] == t
+                    assert at_risk[0, j, g] == n_at and events[0, j, g] == d
+                    worst = max(worst, abs(surv[0, j, g] - s))
+                    if math.isnan(var):  # risk set exhausted
+                        assert surv[0, j, g] == 0.0 and math.isinf(gsum[0, j, g])
                     else:
-                        worst = max(worst, abs(curve.greenwood_var[j] - var))
+                        worst = max(worst, abs(surv[0, j, g] ** 2 * gsum[0, j, g] - var))
                 n_checked += 1
     check(6, "KM matches hand bookkeeping on all <=8-row datasets",
           worst < 1e-12, f"{n_checked} group curves checked, max |diff| = {worst:.2e}")
@@ -368,8 +371,8 @@ def test_criterion_7_property_suite():
     check(7, "quantile/CDF round trips below 1e-12",
           eu_err < 1e-12 and wb_err < 1e-12, f"eu={eu_err:.2e} weibull={wb_err:.2e}")
 
-    grid_times = np.unique(res.tset.times)
-    rd = pr.risk_difference_curve(res.estimate, res.curve0, grid_times)
+    window = (res.event_times >= res.t_min) & (res.event_times <= res.t_max)
+    rd = pr.risk_difference_curve(res.estimate, res.event_times[window], res.cdf[window, 0])
     check(7, "|risk difference| non-decreasing over time",
           bool(np.all(np.diff(np.abs(rd.rd)) >= -1e-15)))
 

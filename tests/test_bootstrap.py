@@ -15,9 +15,11 @@ from proprisk import (
     simulate_dataset,
     validate_dataset,
 )
-from proprisk.bootstrap import _resample_betas
+from proprisk.nppr import fit_tables
 from proprisk.simulate import default_grid_path
 from proprisk.survival import event_grid
+
+from oracles import nppr_scalar
 
 
 def _two_arm_data(seed=3, n=120):
@@ -50,6 +52,11 @@ class TestConfig:
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError):
             BootstrapConfig(level=1.0)
+
+
+def _cumhaz_ids(names):
+    # test ids name the variance behind the inverse-variance weights
+    return [f"{name}-cumhaz" for name in names]
 
 
 class TestPercentileBootstrap:
@@ -115,7 +122,6 @@ class TestPercentileBootstrap:
                 data, BootstrapConfig(n_resamples=60, seed=17, min_success_fraction=0.99)
             )
 
-    @pytest.mark.parametrize("weighting", ["cumhaz", "delta"])
     @pytest.mark.parametrize(
         "rows",
         [
@@ -123,52 +129,40 @@ class TestPercentileBootstrap:
             [(1.0, 1, 1), (2.0, 1, 1), (5.0, 1, 0), (6.0, 1, 0)],  # empty window
             [(1.0, 1, 1), (1.0, 1, 0)],  # every time dropped: both risk sets exhausted
         ],
-        ids=["no_events_in_group0", "empty_window", "all_dropped"],
+        ids=_cumhaz_ids(["no_events_in_group0", "empty_window", "all_dropped"]),
     )
-    def test_undefined_point_estimate_raises(self, rows, weighting):
+    def test_undefined_point_estimate_raises(self, rows):
         data = validate_dataset(rows)
         with pytest.raises(EstimationError):
-            nppr_fit(data, weighting)
+            nppr_fit(data)
         # no resample succeeds either; min_success_fraction=0 leaves the raise to the guard
         with pytest.raises(EstimationError, match="original data"):
-            percentile_bootstrap(
-                data, BootstrapConfig(n_resamples=10, seed=1, min_success_fraction=0.0), weighting
-            )
-
-    def test_weighting_passthrough(self):
-        data = _two_arm_data()
-        cfg = BootstrapConfig(n_resamples=40, seed=23)
-        a = percentile_bootstrap(data, cfg, weighting="cumhaz")
-        b = percentile_bootstrap(data, cfg, weighting="delta")
-        assert not np.array_equal(a.betas, b.betas)
-        with pytest.raises(ValueError, match="weighting"):
-            percentile_bootstrap(data, cfg, weighting="greenwood")
+            percentile_bootstrap(data, BootstrapConfig(n_resamples=10, seed=1, min_success_fraction=0.0))
 
 
-def _scalar_resamples(data, cfg, weighting):
+def _scalar_resamples(data, cfg):
     """The reference path: each resample redrawn from its SeedSequence child
-    and fitted by the scalar nppr_fit. Returns (betas, failed indices)."""
+    and fitted by the scalar nppr_scalar. Returns (betas, failed indices)."""
     n = len(data)
     betas, failed = [], []
     for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.n_resamples)):
         idx = np.random.default_rng(child).integers(0, n, size=n)
-        try:
-            betas.append(nppr_fit(data.take(idx), weighting).estimate.beta)
-        except EstimationError:
+        beta = nppr_scalar(data.time[idx], data.status[idx], data.group[idx])
+        if beta is None:
             failed.append(i)
+        else:
+            betas.append(beta)
     return np.asarray(betas), failed
 
 
-def _batched_failed(data, cfg, weighting):
+def _batched_failed(data, cfg):
     """Indices of the resamples the batched fit marks as failed."""
     n = len(data)
     rows = np.stack([
         np.random.default_rng(c).integers(0, n, size=n)
         for c in np.random.SeedSequence(cfg.seed).spawn(cfg.n_resamples)
     ])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        betas = _resample_betas(event_grid(data).table(rows), weighting)
-    return np.flatnonzero(np.isnan(betas)).tolist()
+    return np.flatnonzero(np.isnan(fit_tables(event_grid(data).table(rows)).beta)).tolist()
 
 
 def _tied_data():
@@ -202,26 +196,27 @@ EQUIVALENCE_CASES = {
 
 
 class TestBatchedEqualsScalar:
-    """The batched resample fit against one scalar nppr_fit per resample:
-    |dbeta| <= 1e-12 and the same failed resamples."""
+    """The batched resample fit against one scalar reference fit per
+    resample: |dbeta| <= 1e-12 and the same failed resamples."""
 
-    @pytest.mark.parametrize("weighting", ["cumhaz", "delta"])
-    @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
-    def test_equivalence_gate(self, case, weighting):
+    @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES), ids=_cumhaz_ids(EQUIVALENCE_CASES))
+    def test_equivalence_gate(self, case):
         make, n_resamples, seed = EQUIVALENCE_CASES[case]
         data = make()
         cfg = BootstrapConfig(n_resamples=n_resamples, seed=seed, min_success_fraction=0.0)
-        ref_betas, ref_failed = _scalar_resamples(data, cfg, weighting)
-        r = percentile_bootstrap(data, cfg, weighting)
-        assert _batched_failed(data, cfg, weighting) == ref_failed
+        ref_betas, ref_failed = _scalar_resamples(data, cfg)
+        r = percentile_bootstrap(data, cfg)
+        assert _batched_failed(data, cfg) == ref_failed
         assert r.n_failed == len(ref_failed)
         assert r.betas.shape == ref_betas.shape
         assert np.max(np.abs(r.betas - ref_betas), initial=0.0) <= 1e-12
+        point = nppr_scalar(data.time, data.status, data.group)
+        assert abs(nppr_fit(data).estimate.beta - point) <= 1e-12
 
     def test_gate_cases_exercise_failures_and_ties(self):
         cfg = BootstrapConfig(n_resamples=250, seed=100, min_success_fraction=0.0)
-        assert _scalar_resamples(_replicate(0.0, 0.7, 50, 0), cfg, "cumhaz")[1]
-        assert _scalar_resamples(_five_rows(), cfg, "cumhaz")[1]
+        assert _scalar_resamples(_replicate(0.0, 0.7, 50, 0), cfg)[1]
+        assert _scalar_resamples(_five_rows(), cfg)[1]
         tied = _tied_data()
         events = tied.time[tied.status == 1]
         t1 = set(events[tied.group[tied.status == 1] == 1])

@@ -62,6 +62,23 @@ class TestFit:
         code, _ = run_cli("fit", "--data", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"time,status,group\n1.0,1,1\n2.0\xff,1,0\n", "{path} is not UTF-8"),
+            ("time,status,group\n1.0,1,1\n2.0,1,0\n".encode("utf-16"), "{path} is not UTF-8"),
+            (b"time,status,group,time\n1.0,1,1,5.0\n2.0,1,0,6.0\n", "repeated column(s): time"),
+        ],
+        ids=["stray_0xff", "utf16", "repeated_time"],
+    )
+    def test_unreadable_csv_exit_code(self, tmp_path, raw, message, capsys):
+        path = tmp_path / "odd.csv"
+        path.write_bytes(raw)
+        code, out = run_cli("fit", "--data", str(path), "--bootstrap", "0")
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
+
     def test_estimation_failure_exit_code(self, tmp_path):
         path = tmp_path / "nofit.csv"
         path.write_text("time,status,group\n1.0,1,1\n2.0,0,0\n")
@@ -170,6 +187,12 @@ def _grid_file(tmp_path, kind):
         path.write_text(json.dumps([dict(weibull, params=dict(weibull["params"], lambda1=0.0))]))
     elif kind == "negative_cmax":
         path.write_text(json.dumps([dict(obj, censor_cmax=-5.0)]))
+    elif kind == "censor_rate_above_one":
+        path.write_text(json.dumps([dict(obj, censor_rate=1.5)]))
+    elif kind == "censor_rate_zero":
+        path.write_text(json.dumps([dict(obj, censor_rate=0.0)]))
+    elif kind == "nan_effect":
+        path.write_text(json.dumps([dict(obj, effect_beta=float("nan"))]))
     return str(path)
 
 
@@ -182,6 +205,9 @@ BAD_GRID_KINDS = [
     "negative_alpha",
     "zero_lambda",
     "negative_cmax",
+    "censor_rate_above_one",
+    "censor_rate_zero",
+    "nan_effect",
 ]
 
 
@@ -303,5 +329,5 @@ class TestPlotData:
         _, out = run_cli("plotdata", "--data", data_csv, "--series", "cdf")
         rows = list(csv.reader(io.StringIO(out)))[1:]
         t, c1, c0 = (float(v) for v in rows[0])
-        assert c1 == pytest.approx(pr.cdf_at(res.curve1, t))
-        assert c0 == pytest.approx(pr.cdf_at(res.curve0, t))
+        assert t == res.event_times[0]
+        assert (c1, c0) == (res.cdf[0, 1], res.cdf[0, 0])

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proprisk import (
     Dataset,
     EstimationError,
-    PointwiseSet,
+    NpprEstimate,
     build_event_time_set,
-    km_from_arrays,
     nppr_fit,
     nppr_point_estimate,
     pointwise_log_rr,
@@ -19,122 +20,109 @@ from proprisk import (
 from oracles import nppr_oracle
 
 
+def _data(rows1, rows0):
+    """Dataset from each group's (time, status) rows."""
+    rows = [(t, s, 1) for t, s in rows1] + [(t, s, 0) for t, s in rows0]
+    return Dataset.from_columns(*zip(*rows))
+
+
+def _events(*columns):
+    """A batch of event arrays (B, K, 2) from per-table lists of (d0, d1)."""
+    return np.array(columns, dtype=np.int64)
+
+
 class TestEventTimeSet:
     def test_overlap_window(self):
-        ts = build_event_time_set([2, 5], [3, 7])
-        assert (ts.t_min, ts.t_max) == (3.0, 5.0)
-        np.testing.assert_allclose(ts.times, [3.0, 5.0])
+        # group 1 events at 2 and 5, group 0 at 3 and 7: the window is [3, 5]
+        window, m = build_event_time_set(_events([(0, 1), (1, 0), (0, 1), (1, 0)]))
+        np.testing.assert_array_equal(window, [[False, True, True, False]])
+        res = nppr_fit(_data([(2, 1), (5, 1)], [(3, 1), (7, 1)]))
+        assert (res.t_min, res.t_max) == (3.0, 5.0)
 
     def test_full_tie_retention(self):
-        ts = build_event_time_set([1, 2, 3], [1, 2, 3])
-        np.testing.assert_allclose(ts.times, [1, 1, 2, 2, 3, 3])
+        window, m = build_event_time_set(_events([(1, 1), (1, 1), (1, 1)]))
+        assert window.all()
+        np.testing.assert_array_equal(np.repeat([1.0, 2.0, 3.0], m[0]), [1, 1, 2, 2, 3, 3])
 
     def test_disjoint_windows_empty(self):
-        ts = build_event_time_set([1, 2], [5, 6])
-        assert ts.is_empty
-        assert ts.t_min == 5.0 and ts.t_max == 2.0
+        # group 1 events at 1 and 2, group 0 at 5 and 6
+        window, _ = build_event_time_set(_events([(0, 1), (0, 1), (1, 0), (1, 0)]))
+        assert not window.any()
+        with pytest.raises(EstimationError, match="empty"):
+            nppr_fit(_data([(1, 1), (2, 1)], [(5, 1), (6, 1)]))
 
     def test_no_events_empty(self):
-        assert build_event_time_set([], [1, 2]).is_empty
-        assert build_event_time_set([1, 2], []).is_empty
+        # one table per group without events, in one batch; a censoring-only
+        # column (0, 0) is never in the window
+        window, m = build_event_time_set(_events([(1, 0), (0, 0), (1, 0)], [(0, 1), (0, 0), (0, 1)]))
+        assert window.shape == (2, 3) and not window.any()
+        np.testing.assert_array_equal(m, [[1, 0, 1], [1, 0, 1]])
 
 
-def _curve(times, status):
-    return km_from_arrays(np.asarray(times, dtype=float), np.asarray(status))
+def _surv(*pairs):
+    """(1, K, 2) survival or Greenwood arrays from (group 0, group 1) pairs."""
+    return np.array([pairs], dtype=float)
 
 
 class TestPointwise:
     def test_forced_ratio(self):
-        # construct curves with F1(t)=0.2, F0(t)=0.4 at t=1: one event among
-        # 5 subjects vs 2 events among 5
-        c1 = _curve([1, 2, 2, 2, 2], [1, 0, 0, 0, 0])
-        c0 = _curve([1, 1, 2, 2, 2], [1, 1, 0, 0, 0])
-        ts = build_event_time_set([1.0], [1.0, 1.0])
-        pts = pointwise_log_rr(c1, c0, ts)
-        np.testing.assert_allclose(pts.beta_t, math.log(2.0))
-
-    def test_delta_weight_formula(self):
-        # with F1=F0=0.3 and Var(S)=0.0009 each, omega = 2*(0.0009/0.09) = 0.02
-        class FakeCurve:
-            event_times = np.array([1.0])
-            survival = np.array([0.7])
-            greenwood_var = np.array([0.0009])
-            cumhaz_var = np.array([0.0009 / 0.49])
-
-        ts = build_event_time_set([1.0], [1.0])
-        pts = pointwise_log_rr(FakeCurve(), FakeCurve(), ts, weighting="delta")
-        np.testing.assert_allclose(pts.weight_var, [0.02, 0.02])
-        np.testing.assert_allclose(pts.beta_t, [0.0, 0.0])
+        # F1(1) = 0.2: one event among 5 subjects; F0(1) = 0.4: 2 among 5
+        res = nppr_fit(_data([(1, 1)] + [(2, 0)] * 4, [(1, 1)] * 2 + [(2, 0)] * 3))
+        np.testing.assert_allclose(res.points.beta_t, [math.log(2.0)] * 3)
 
     def test_cumhaz_weight_formula(self):
-        class FakeCurve:
-            event_times = np.array([1.0])
-            survival = np.array([0.7])
-            greenwood_var = np.array([0.0009])
-            cumhaz_var = np.array([0.0009 / 0.49])
-
-        ts = build_event_time_set([1.0], [1.0])
-        pts = pointwise_log_rr(FakeCurve(), FakeCurve(), ts, weighting="cumhaz")
-        np.testing.assert_allclose(pts.weight_var, [2 * 0.0009 / 0.49 / 0.09] * 2)
+        # F1 = F0 = 0.3 and a Greenwood sum of 0.0009/0.49 in each group
+        g = 0.0009 / 0.49
+        beta_t, omega, usable = pointwise_log_rr(_surv((0.7, 0.7)), _surv((g, g)), np.array([[True]]))
+        np.testing.assert_allclose(omega, [[2 * g / 0.09]])
+        np.testing.assert_array_equal(beta_t, [[0.0]])
+        assert usable.all()
 
     def test_degenerate_variance_dropped(self):
         # group 0 survival hits zero at t=2: undefined variance, time dropped
-        c1 = _curve([1, 2, 3], [1, 1, 0])
-        c0 = _curve([1, 2], [1, 1])
-        ts = build_event_time_set([1.0, 2.0], [1.0, 2.0])
-        pts = pointwise_log_rr(c1, c0, ts)
-        assert pts.n_dropped == 2  # t=2 from both groups' multisets
-        np.testing.assert_allclose(pts.times, [1.0, 1.0])
+        res = nppr_fit(_data([(1, 1), (2, 1), (3, 0)], [(1, 1), (2, 1)]))
+        assert res.points.n_dropped == 2  # t=2 carries one event of each group
+        np.testing.assert_allclose(res.points.times, [1.0, 1.0])
 
     def test_all_dropped_raises(self):
-        c1 = _curve([1, 1], [1, 1])
-        c0 = _curve([1, 1], [1, 1])
-        ts = build_event_time_set([1.0, 1.0], [1.0, 1.0])
         with pytest.raises(EstimationError, match="dropped"):
-            pointwise_log_rr(c1, c0, ts)
+            nppr_fit(_data([(1, 1), (1, 1)], [(1, 1), (1, 1)]))
 
     def test_empty_set_raises(self):
-        c = _curve([1], [1])
         with pytest.raises(EstimationError, match="empty"):
-            pointwise_log_rr(c, c, build_event_time_set([], []))
+            nppr_fit(_data([(1, 1)], [(2, 0)]))
 
     def test_rows_view(self):
-        c1 = _curve([1, 2], [1, 1])
-        c0 = _curve([1, 3], [1, 1])
-        ts = build_event_time_set([1.0, 2.0], [1.0, 3.0])
-        pts = pointwise_log_rr(c1, c0, ts)
-        assert pts.times[0] == 1.0
-        np.testing.assert_array_equal(pts.weight_var, pts.var1 + pts.var0)
+        # one row per event: t=1 twice; t=2 is dropped (group 1 exhausted)
+        res = nppr_fit(_data([(1, 1), (2, 1)], [(1, 1), (3, 1)]))
+        pts = res.points
+        np.testing.assert_array_equal(pts.times, [1.0, 1.0])
+        assert len(pts.beta_t) == len(pts.weight_var) == len(pts) == res.estimate.n_times_used
+        assert pts.weight_var[0] == pts.weight_var[1] and pts.n_dropped == 1
 
 
 class TestPointEstimate:
     def test_hand_weighted_mean(self):
-        pts = PointwiseSet(
-            times=np.array([1.0, 2.0]),
-            beta_t=np.array([0.5, 1.0]),
-            var1=np.zeros(2),
-            var0=np.zeros(2),
-            weight_var=np.array([0.25, 0.5]),
-            n_dropped=0,
-        )
-        est = nppr_point_estimate(pts)
-        assert est.beta == pytest.approx(2.0 / 3.0)
-        assert est.total_weight == pytest.approx(6.0)
-        assert est.rr == math.exp(-est.beta)
-        assert est.n_times_used == 2
+        # a batch of three: single events, a 2-fold tie at the first time,
+        # and no usable time
+        beta_t = np.array([[0.5, 1.0]] * 3)
+        omega = np.array([[0.25, 0.5]] * 3)
+        usable = np.array([[True, True], [True, True], [False, False]])
+        m = np.array([[1, 1], [2, 1], [1, 1]])
+        beta, total = nppr_point_estimate(beta_t, omega, usable, m)
+        assert beta[0] == pytest.approx(2.0 / 3.0) and total[0] == pytest.approx(6.0)
+        assert beta[1] == pytest.approx(0.6) and total[1] == pytest.approx(10.0)
+        assert math.isnan(beta[2]) and total[2] == 0.0
 
     def test_null_effect(self):
-        pts = PointwiseSet(
-            times=np.array([1.0, 2.0]),
-            beta_t=np.zeros(2),
-            var1=np.zeros(2),
-            var0=np.zeros(2),
-            weight_var=np.array([0.1, 0.4]),
-            n_dropped=0,
+        beta, _ = nppr_point_estimate(
+            np.zeros((1, 2)), np.array([[0.1, 0.4]]), np.ones((1, 2), dtype=bool), np.ones((1, 2))
         )
-        est = nppr_point_estimate(pts)
-        assert est.beta == 0.0
-        assert est.rr == 1.0
+        assert beta[0] == 0.0
+
+
+def _estimate(beta):
+    return NpprEstimate(beta, 1.0, math.exp(-beta), 1)
 
 
 class TestRiskDifference:
@@ -142,49 +130,25 @@ class TestRiskDifference:
         # with beta=0.320, F0 chosen so that NNT(10) = 28.120
         beta = 0.320
         f0_at_10 = 1.0 / 28.120 / (1.0 - math.exp(-beta))
-        c0 = _curve([10.0] + [20.0] * 99, [1] + [0] * 99)
-        # single event among 100 gives F0 = 0.01; rescale via a fake curve
-        class FakeCurve:
-            event_times = np.array([10.0])
-            survival = np.array([1.0 - f0_at_10])
-            greenwood_var = np.array([1e-6])
-            cumhaz_var = np.array([1e-6])
-
-        est = nppr_point_estimate(
-            PointwiseSet(np.array([10.0]), np.array([beta]), np.zeros(1), np.zeros(1), np.ones(1), 0)
-        )
-        rd = risk_difference_curve(est, FakeCurve(), [10.0])
+        rd = risk_difference_curve(_estimate(beta), [10.0], [f0_at_10])
         assert rd.nnt[0] == pytest.approx(28.120, rel=1e-12)
         assert rd.rd[0] == pytest.approx(1.0 / 28.120, rel=1e-12)
 
     def test_direct_formula(self):
-        class FakeCurve:
-            event_times = np.array([5.0])
-            survival = np.array([0.9])
-            greenwood_var = np.array([1e-6])
-            cumhaz_var = np.array([1e-6])
-
-        est = nppr_point_estimate(
-            PointwiseSet(np.array([5.0]), np.array([0.320]), np.zeros(1), np.zeros(1), np.ones(1), 0)
-        )
-        rd = risk_difference_curve(est, FakeCurve(), [5.0])
+        rd = risk_difference_curve(_estimate(0.320), [5.0], [0.1])
         assert rd.rd[0] == pytest.approx((1 - math.exp(-0.32)) * 0.1, rel=1e-12)
         assert rd.nnt[0] == pytest.approx(36.5167, abs=5e-4)
 
     def test_null_effect_undefined_nnt(self):
-        c0 = _curve([1, 2, 3], [1, 1, 0])
-        est = nppr_point_estimate(
-            PointwiseSet(np.array([1.0]), np.array([0.0]), np.zeros(1), np.zeros(1), np.ones(1), 0)
-        )
-        rd = risk_difference_curve(est, c0, [1.0, 2.0])
+        rd = risk_difference_curve(_estimate(0.0), [1.0, 2.0], [1.0 / 3.0, 2.0 / 3.0])
         assert np.all(rd.rd == 0.0)
         assert np.all(np.isnan(rd.nnt))
 
     def test_rd_magnitude_nondecreasing(self):
         data = _simulated(seed=5, n=80)
         res = nppr_fit(data)
-        grid = np.unique(res.tset.times)
-        rd = risk_difference_curve(res.estimate, res.curve0, grid)
+        window = (res.event_times >= res.t_min) & (res.event_times <= res.t_max)
+        rd = risk_difference_curve(res.estimate, res.event_times[window], res.cdf[window, 0])
         assert np.all(np.diff(np.abs(rd.rd)) >= -1e-15)
         assert np.all(np.sign(rd.rd[rd.rd != 0]) == np.sign(1 - res.estimate.rr))
 
@@ -200,28 +164,27 @@ def _swap_groups(data: Dataset) -> Dataset:
     return Dataset.from_columns(data.time, data.status, 1 - data.group)
 
 
-@pytest.mark.parametrize("weighting", ["cumhaz", "delta"])
-@pytest.mark.parametrize("seed", range(6))
-def test_group_swap_negates_beta(weighting, seed):
+# the ids name the variance behind the inverse-variance weights
+@pytest.mark.parametrize("seed", range(6), ids=lambda seed: f"{seed}-cumhaz")
+def test_group_swap_negates_beta(seed):
     data = _simulated(seed)
     try:
-        est = nppr_fit(data, weighting).estimate
+        est = nppr_fit(data).estimate
     except EstimationError:
         pytest.skip("estimator undefined on this draw")
-    swapped = nppr_fit(_swap_groups(data), weighting).estimate
+    swapped = nppr_fit(_swap_groups(data)).estimate
     assert swapped.beta == pytest.approx(-est.beta, abs=1e-12)
     assert swapped.rr == pytest.approx(1.0 / est.rr, rel=1e-12)
 
 
-@pytest.mark.parametrize("weighting", ["cumhaz", "delta"])
-def test_identical_groups_null_fixed_point(weighting):
+def test_identical_groups_null_fixed_point():
     # duplicate one group's rows into both labels: beta must be exactly 0
     times = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     status = [1, 0, 1, 1, 0, 1]
     rows = [(t, s, 1) for t, s in zip(times, status)] + [
         (t, s, 0) for t, s in zip(times, status)
     ]
-    est = nppr_fit(validate_dataset(rows), weighting).estimate
+    est = nppr_fit(validate_dataset(rows)).estimate
     assert est.beta == 0.0
     assert est.rr == 1.0
 
@@ -237,28 +200,18 @@ def test_convexity_bound(seed):
 
 
 def test_tie_multiplicity_adds_terms_to_both_sums():
-    # fixed curves; a time occurring m times in the multiset contributes m
-    # identical terms to the numerator and denominator of the weighted mean
-    c1 = _curve([1.0, 2.0, 3.0, 6.0], [1, 1, 1, 0])
-    c0 = _curve([1.5, 2.0, 4.0, 7.0], [1, 1, 1, 0])
-    single = build_event_time_set([2.0, 3.0], [2.0, 4.0])
-    extra = build_event_time_set([2.0, 2.0, 3.0], [2.0, 2.0, 4.0])  # 2.0 twice per group
-
-    pts = pointwise_log_rr(c1, c0, single)
+    # t=2 carries three events: it enters the weighted mean as three
+    # identical terms in the numerator and the denominator
+    res = nppr_fit(_data([(1, 1), (2, 1), (2, 1), (3, 1), (6, 0)], [(1.5, 1), (2, 1), (4, 1), (7, 0)]))
+    pts = res.points
+    assert np.count_nonzero(pts.times == 2.0) == 3
     w = 1.0 / pts.weight_var
-    dup = pts.times == 2.0  # one entry per group in `single`, two more in `extra`
-    predicted = float(
-        (np.sum(w * pts.beta_t) + np.sum(w[dup] * pts.beta_t[dup]))
-        / (np.sum(w) + np.sum(w[dup]))
-    )
-
-    est = nppr_point_estimate(pointwise_log_rr(c1, c0, extra))
-    assert est.beta == pytest.approx(predicted, abs=1e-14)
-    assert est.n_times_used == len(pts) + 2
+    assert res.estimate.beta == pytest.approx(np.sum(w * pts.beta_t) / np.sum(w), abs=1e-14)
+    assert res.estimate.total_weight == pytest.approx(np.sum(w), rel=1e-14)
+    assert res.estimate.n_times_used == len(pts)
 
 
-@pytest.mark.parametrize("weighting", ["cumhaz", "delta"])
-def test_matches_oracle_small_instances(weighting):
+def test_matches_oracle_small_instances():
     rng = np.random.default_rng(2024)
     checked = 0
     trials = 0
@@ -269,9 +222,9 @@ def test_matches_oracle_small_instances(weighting):
         status = rng.integers(0, 2, n)
         group = rng.integers(0, 2, n)
         data = Dataset.from_columns(times, status, group)
-        oracle = nppr_oracle(times, status, group, weighting)
+        oracle = nppr_oracle(times, status, group)
         try:
-            res = nppr_fit(data, weighting)
+            res = nppr_fit(data)
         except EstimationError:
             assert oracle is None or oracle[1] == 0
             continue
@@ -282,3 +235,45 @@ def test_matches_oracle_small_instances(weighting):
         assert res.points.n_dropped == dropped
         checked += 1
     assert checked == 40
+
+
+MONOTONE_TRANSFORMS = {
+    "exp": np.exp,
+    "cube_plus_one": lambda t: t**3 + 1.0,
+    "log1p": np.log1p,
+    "affine": lambda t: 7.0 * t + 0.25,
+}
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([0.5, 1.0, 2.0, 2.5, 3.0, 5.0, 8.0, 13.0]), st.integers(0, 1), st.integers(0, 1)),
+        min_size=2,
+        max_size=40,
+    ),
+    st.sampled_from(sorted(MONOTONE_TRANSFORMS)),
+)
+@settings(max_examples=200, deadline=None)
+def test_strictly_increasing_time_transform(rows, name):
+    # the estimator reads times only through their order: under a strictly
+    # increasing transform beta is bit-identical, it fails on the same data,
+    # and the window's ends map through the transform
+    times, status, group = (np.array(c) for c in zip(*rows))
+    moved = MONOTONE_TRANSFORMS[name](times)
+    assert np.all(np.diff(np.unique(moved)) > 0) and np.unique(moved).size == np.unique(times).size
+    fits = []
+    for t in (times, moved):
+        try:
+            fits.append(nppr_fit(Dataset.from_columns(t, status, group)))
+        except EstimationError as exc:
+            fits.append(str(exc))
+    a, b = fits
+    if isinstance(a, str):
+        assert a == b
+        return
+    image = dict(zip(times.tolist(), moved.tolist()))
+    assert b.estimate.beta == a.estimate.beta
+    assert (b.t_min, b.t_max) == (image[a.t_min], image[a.t_max])
+    np.testing.assert_array_equal(b.points.beta_t, a.points.beta_t)
+    assert b.points.n_dropped == a.points.n_dropped
+    np.testing.assert_array_equal(b.cdf, a.cdf)

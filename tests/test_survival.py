@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proprisk import (
-    Dataset,
-    ValidationError,
-    cdf_at,
-    cumhaz_variance_at,
-    kaplan_meier,
-    km_from_arrays,
-    survival_at,
-    validate_dataset,
-    variance_at,
-)
+from types import SimpleNamespace
+
+from proprisk import Dataset, ValidationError, kaplan_meier, validate_dataset
 from proprisk.survival import event_grid, events_at_risk
 
 from oracles import km_oracle
@@ -60,54 +52,80 @@ class TestValidateDataset:
             validate_dataset([(1.0, 1, 1), ("abc", 0, 0)])
 
 
+def _km(data, group=1):
+    """One group's Kaplan-Meier curve on the dataset's shared event times."""
+    grid = event_grid(data)
+    table = grid.table()[None]
+    d, surv, gsum = kaplan_meier(table)
+    return SimpleNamespace(
+        event_times=grid.event_times,
+        events=d[0, :, group],
+        at_risk=events_at_risk(table)[1][0, :, group],
+        survival=surv[0, :, group],
+        cumhaz_var=gsum[0, :, group],
+    )
+
+
+def _curve(times, status):
+    """Kaplan-Meier curve of a single group's rows."""
+    return _km(Dataset.from_columns(times, status, [1] * len(times)))
+
+
 class TestKaplanMeier:
     def test_hand_computed_curve(self):
         # times/status (2,1),(4,0),(5,1),(6,0): S(2)=3/4, S(5)=3/8
-        c = km_from_arrays(np.array([2.0, 4.0, 5.0, 6.0]), np.array([1, 0, 1, 0]))
+        c = _curve([2.0, 4.0, 5.0, 6.0], [1, 0, 1, 0])
         np.testing.assert_allclose(c.event_times, [2.0, 5.0])
         np.testing.assert_allclose(c.survival, [0.75, 0.375])
-        np.testing.assert_allclose(c.greenwood_var, [0.046875, 0.08203125])
+        np.testing.assert_allclose(c.survival**2 * c.cumhaz_var, [0.046875, 0.08203125])
         np.testing.assert_array_equal(c.at_risk, [4, 2])
         np.testing.assert_array_equal(c.events, [1, 1])
 
     def test_tied_events_single_step(self):
-        c = km_from_arrays(np.array([1.0, 1.0]), np.array([1, 1]))
-        assert len(c) == 1
+        c = _curve([1.0, 1.0], [1, 1])
+        assert len(c.event_times) == 1
         assert c.survival[0] == 0.0
-        assert math.isnan(c.greenwood_var[0])
         assert math.isinf(c.cumhaz_var[0])
 
     def test_all_censored_empty_curve(self):
-        c = km_from_arrays(np.array([1.0, 2.0]), np.array([0, 0]))
-        assert len(c) == 0
-        assert survival_at(c, 5.0) == 1.0
-        assert cdf_at(c, 5.0) == 0.0
+        # no event times in the data: an empty grid; a group without events
+        # in a grid of the other group's events stays at S = 1
+        assert _curve([1.0, 2.0], [0, 0]).survival.shape == (0,)
+        data = Dataset.from_columns([1.0, 2.0, 3.0], [0, 0, 1], [1, 1, 0])
+        np.testing.assert_array_equal(_km(data, 1).survival, [1.0])
+        np.testing.assert_array_equal(_km(data, 1).cumhaz_var, [0.0])
 
     def test_event_before_censoring_at_tie(self):
         # censored subject at t=2 is still at risk for the event at t=2
-        c = km_from_arrays(np.array([2.0, 2.0]), np.array([1, 0]))
+        c = _curve([2.0, 2.0], [1, 0])
         assert c.at_risk[0] == 2
         np.testing.assert_allclose(c.survival, [0.5])
 
     def test_group_selection(self):
         data = validate_dataset([(2.0, 1, 1), (3.0, 1, 0), (4.0, 0, 1)])
-        c1 = kaplan_meier(data, 1)
-        c0 = kaplan_meier(data, 0)
-        np.testing.assert_allclose(c1.event_times, [2.0])
-        np.testing.assert_allclose(c0.event_times, [3.0])
+        c1, c0 = _km(data, 1), _km(data, 0)
+        np.testing.assert_array_equal(c1.events, [1, 0])
+        np.testing.assert_array_equal(c0.events, [0, 1])
+        np.testing.assert_allclose(c1.survival, [0.5, 0.5])
+        np.testing.assert_allclose(c0.survival, [1.0, 0.0])
 
     def test_cdf_lookup(self):
-        c = km_from_arrays(np.array([2.0, 4.0, 5.0, 6.0]), np.array([1, 0, 1, 0]))
-        assert cdf_at(c, 3.0) == pytest.approx(0.25)
-        assert cdf_at(c, 0.5) == 0.0
-        assert cdf_at(c, 2.0) == pytest.approx(0.25)  # right-continuous at the step
-        assert cdf_at(c, 100.0) == pytest.approx(0.625)
+        # group 1 as in test_hand_computed_curve; group 0's events at 0.5, 3
+        # and 100 read group 1's CDF between and after its own steps
+        data = Dataset.from_columns(
+            [2.0, 4.0, 5.0, 6.0, 0.5, 3.0, 100.0], [1, 0, 1, 0, 1, 1, 1], [1, 1, 1, 1, 0, 0, 0]
+        )
+        c = _km(data, 1)
+        np.testing.assert_array_equal(c.event_times, [0.5, 2.0, 3.0, 5.0, 100.0])
+        np.testing.assert_allclose(1.0 - c.survival, [0.0, 0.25, 0.25, 0.625, 0.625])
 
     def test_variance_carried_forward(self):
-        c = km_from_arrays(np.array([2.0, 4.0, 5.0, 6.0]), np.array([1, 0, 1, 0]))
-        assert variance_at(c, 3.0) == pytest.approx(0.046875)
-        assert variance_at(c, 1.0) == 0.0
-        assert cumhaz_variance_at(c, 3.0) == pytest.approx(1.0 / 12.0)
+        data = Dataset.from_columns([2.0, 4.0, 5.0, 6.0, 1.0, 3.0], [1, 0, 1, 0, 1, 1], [1, 1, 1, 1, 0, 0])
+        c = _km(data, 1)
+        np.testing.assert_array_equal(c.event_times, [1.0, 2.0, 3.0, 5.0])
+        assert c.cumhaz_var[0] == 0.0
+        assert c.cumhaz_var[2] == pytest.approx(1.0 / 12.0)
+        assert c.survival[2] ** 2 * c.cumhaz_var[2] == pytest.approx(0.046875)
 
 
 def _enumerate_patterns(times, limit=None):
@@ -136,18 +154,16 @@ def test_km_matches_oracle_exhaustively(times):
         for g in (0, 1):
             rows = [(t, s) for t, s, gg in zip(times, status, group) if gg == g]
             expected = km_oracle(rows)
-            curve = km_from_arrays(
-                np.array([t for t, _ in rows]), np.array([s for _, s in rows])
-            )
-            assert len(curve) == len(expected)
-            for j, (t, surv, var, chv, n, d) in enumerate(expected):
+            curve = _km(Dataset.from_columns(times, status, group), g)
+            own = np.flatnonzero(curve.events)  # the group's own event times
+            assert len(own) == len(expected)
+            for j, (t, surv, var, chv, n, d) in zip(own, expected):
                 assert curve.event_times[j] == t
                 assert curve.survival[j] == pytest.approx(surv, abs=1e-14)
                 if math.isnan(var):
-                    assert math.isnan(curve.greenwood_var[j])
                     assert math.isinf(curve.cumhaz_var[j])
                 else:
-                    assert curve.greenwood_var[j] == pytest.approx(var, abs=1e-14)
+                    assert curve.survival[j] ** 2 * curve.cumhaz_var[j] == pytest.approx(var, abs=1e-14)
                     assert curve.cumhaz_var[j] == pytest.approx(chv, abs=1e-14)
                 assert curve.at_risk[j] == n
                 assert curve.events[j] == d
@@ -164,19 +180,19 @@ def group_rows(draw, min_size=1, max_size=12):
 @settings(max_examples=200, deadline=None)
 def test_km_permutation_invariant(rows):
     times, status = rows
-    base = km_from_arrays(np.array(times), np.array(status))
-    order = np.argsort(np.array(times) * 0 + np.arange(len(times))[::-1])
-    perm = km_from_arrays(np.array(times)[order], np.array(status)[order])
+    base = _curve(times, status)
+    order = np.arange(len(times))[::-1]
+    perm = _curve(np.array(times)[order], np.array(status)[order])
     np.testing.assert_array_equal(base.event_times, perm.event_times)
     np.testing.assert_array_equal(base.survival, perm.survival)
-    np.testing.assert_array_equal(base.greenwood_var, perm.greenwood_var)
+    np.testing.assert_array_equal(base.cumhaz_var, perm.cumhaz_var)
 
 
 @given(group_rows())
 @settings(max_examples=200, deadline=None)
 def test_km_structural_invariants(rows):
     times, status = rows
-    c = km_from_arrays(np.array(times), np.array(status))
+    c = _curve(times, status)
     assert np.all(np.diff(c.event_times) > 0)
     assert np.all((c.survival >= 0) & (c.survival <= 1))
     assert np.all(np.diff(c.survival) <= 1e-15)
@@ -184,8 +200,7 @@ def test_km_structural_invariants(rows):
     assert np.all((c.events >= 1) & (c.events <= c.at_risk))
     # while defined, the variance is strictly positive (an event has occurred
     # and the risk set is not yet exhausted); it is never negative
-    finite = np.isfinite(c.greenwood_var)
-    assert np.all(c.greenwood_var[finite] > 0)
+    finite = np.isfinite(c.cumhaz_var)
     assert np.all(c.cumhaz_var[finite] > 0)
     # undefined exactly from the step where survival hits zero
     np.testing.assert_array_equal(finite, c.survival > 0)
@@ -196,16 +211,16 @@ def test_km_structural_invariants(rows):
 def test_km_no_censoring_matches_empirical_cdf(rows):
     times, _ = rows
     t = np.array(times)
-    c = km_from_arrays(t, np.ones(len(times), dtype=int))
-    for u in np.unique(t):
-        assert cdf_at(c, u) == pytest.approx(np.mean(t <= u), abs=1e-12)
+    c = _curve(t, np.ones(len(times), dtype=int))
+    for u, s in zip(c.event_times, c.survival):
+        assert 1.0 - s == pytest.approx(np.mean(t <= u), abs=1e-12)
 
 
 @given(group_rows(), group_rows())
 @settings(max_examples=200, deadline=None)
 def test_event_grid_counts_match_km(rows1, rows0):
     # the shared table's events and risk sets, read at a group's own event
-    # times, are km_from_arrays' per-group tie aggregation, for the data and
+    # times, are the oracle's per-group tie aggregation, for the data and
     # for resamples of it counted into the same grid
     (t1, s1), (t0, s0) = rows1, rows0
     data = Dataset.from_columns(t1 + t0, s1 + s0, [1] * len(t1) + [0] * len(t0))
@@ -217,9 +232,9 @@ def test_event_grid_counts_match_km(rows1, rows0):
         events, at_risk = events_at_risk(table)
         assert events.sum() == sample.status.sum()
         for g in (0, 1):
-            curve = kaplan_meier(sample, g)
-            cols = np.searchsorted(grid.event_times, curve.event_times)
-            np.testing.assert_array_equal(events[cols, g], curve.events)
-            np.testing.assert_array_equal(at_risk[cols, g], curve.at_risk)
+            expected = km_oracle(list(zip(sample.time[sample.group == g], sample.status[sample.group == g])))
+            cols = np.searchsorted(grid.event_times, [row[0] for row in expected])
+            np.testing.assert_array_equal(events[cols, g], [row[5] for row in expected])
+            np.testing.assert_array_equal(at_risk[cols, g], [row[4] for row in expected])
             brute = [np.sum((sample.group == g) & (sample.time >= t)) for t in grid.event_times]
             np.testing.assert_array_equal(at_risk[:, g], brute)
