@@ -5,7 +5,6 @@ and a Monte-Carlo evaluation harness."""
 from .bootstrap import (
     BootstrapConfig,
     BootstrapResult,
-    ConfidenceInterval,
     empirical_quantile,
     percentile_bootstrap,
 )
@@ -56,6 +55,7 @@ from .simulate import (
 )
 from .study import ScenarioResult, run_scenario, summarize_grid
 from .survival import (
+    ConfidenceInterval,
     Dataset,
     kaplan_meier,
     validate_dataset,

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .nppr import fit_tables
-from .survival import Dataset, event_grid
+from .survival import ConfidenceInterval, Dataset, event_grid
 
 # Count-table cells per chunk of resamples; bounds the working set, not the result.
 CHUNK_CELLS = 8192
@@ -59,14 +59,6 @@ class BootstrapConfig:
             raise ValueError("n_resamples must be >= 2")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
-
-
-@dataclass(frozen=True)
-class ConfidenceInterval:
-    lower: float
-    upper: float
-    level: float
-    n_effective: int = 0  # resamples in which estimation succeeded; 0 for analytic CIs
 
 
 def empirical_quantile(sorted_values: np.ndarray, q: float) -> float:

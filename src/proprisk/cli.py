@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study", help="run a simulation-study scenario grid")
     p.add_argument("--grid", required=True,
-                   help="JSON grid file, or 'default' for the bundled grid")
+                   help="JSON grid file, or 'default' for the built-in 90-cell grid")
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--coverage", action="store_true",
                    help="also estimate CI coverage (slow: bootstrap per replicate)")

@@ -18,8 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .bootstrap import ConfidenceInterval
-from .survival import Dataset, event_grid, events_at_risk
+from .survival import ConfidenceInterval, Dataset, event_grid, events_at_risk
 
 
 @dataclass(frozen=True)

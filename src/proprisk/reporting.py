@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapResult, ConfidenceInterval
+from .bootstrap import BootstrapResult
 from .errors import ValidationError
 from .nppr import NpprResult, RiskDifferenceCurve, risk_difference_curve
-from .survival import Dataset, validate_dataset
+from .survival import ConfidenceInterval, Dataset, validate_dataset
 
 REQUIRED_COLUMNS = ("time", "status", "group")
 

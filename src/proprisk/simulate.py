@@ -11,6 +11,10 @@ rate with T drawn from the equal-probability mixture of the two groups.
 Randomness: replicate r of a scenario draws from
 SeedSequence(scenario.seed, spawn_key=(r, 0)); replicates are reproducible
 independently of execution order.
+
+default_grid() builds the study's 90 cells at call time from EFFECTS,
+CENSOR_RATES, SAMPLE_SIZES and the parameter constants below. Grid files
+for load_grid hold scenario_to_dict's JSON form.
 """
 from __future__ import annotations
 
@@ -18,7 +22,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Union
 
 import numpy as np
@@ -224,27 +227,7 @@ def simulate_dataset(scenario: Scenario, replicate_seed: int) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    if scenario.model is Model.PPR_EU:
-        params = {
-            "alpha": scenario.params.alpha,
-            "theta1": scenario.params.theta1,
-            "theta0": scenario.params.theta0,
-        }
-    else:
-        params = {
-            "k": scenario.params.k,
-            "lambda1": scenario.params.lambda1,
-            "lambda0": scenario.params.lambda0,
-        }
-    return {
-        "model": scenario.model.value,
-        "effect_beta": scenario.effect_beta,
-        "params": params,
-        "censor_rate": scenario.censor_rate,
-        "n_participants": scenario.n_participants,
-        "censor_cmax": scenario.censor_cmax,
-        "seed": scenario.seed,
-    }
+    return dict(asdict(scenario), model=scenario.model.value)
 
 
 def scenario_from_dict(obj: dict) -> Scenario:
@@ -298,12 +281,6 @@ def load_grid(path) -> list[Scenario]:
     return scenarios
 
 
-def save_grid(scenarios: list[Scenario], path) -> None:
-    with open(path, "w") as fh:
-        json.dump([scenario_to_dict(s) for s in scenarios], fh, indent=1)
-        fh.write("\n")
-
-
 def reseed(scenarios: list[Scenario], base_seed: int) -> list[Scenario]:
     """Derive a distinct per-scenario seed from one base seed."""
     out = []
@@ -313,19 +290,10 @@ def reseed(scenarios: list[Scenario], base_seed: int) -> list[Scenario]:
     return out
 
 
-def default_grid_path() -> Path:
-    return Path(__file__).parent / "data" / "default_grid.json"
-
-
 def default_grid() -> list[Scenario]:
-    """The bundled 90-cell grid: both models x 5 effects x 3 censoring
-    rates x 3 sample sizes, with precomputed censoring bounds."""
-    return load_grid(default_grid_path())
-
-
-def build_default_grid() -> list[Scenario]:
-    """Recompute the bundled grid from the parameter constants (slow path,
-    calibrates every cell; used to regenerate the shipped JSON)."""
+    """The 90-cell study grid: both models x EFFECTS x CENSOR_RATES x
+    SAMPLE_SIZES, in that nesting order, calibrating c_max once per
+    (model, effect, rate)."""
     scenarios = []
     for model in (Model.PPR_EU, Model.WEIBULL_PH):
         for effect in EFFECTS:

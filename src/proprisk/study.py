@@ -20,6 +20,10 @@ effect is not exactly the generated one: the bundled EU scales
 beta = -alpha*log(theta1/theta0) = 0.5049, 0.2159, -0.2471 and -0.4942 for
 the nominal effects 0.5, 0.25, -0.25 and -0.5. So the PR effect-0.25 cells
 carry a bias of about -0.034 that no estimator can remove.
+
+The grid table (summarize_grid, and the CSV that ``proprisk study`` writes)
+has the columns GRID_COLUMNS: the scenario's model, effect, censoring rate
+and sample size, then the fields of ScenarioResult.
 """
 from __future__ import annotations
 
@@ -57,8 +61,8 @@ def _bootstrap_seed(scenario: Scenario, replicate: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _mean(values: list[float]) -> float:
-    return float(np.mean(values)) if values else math.nan
+def _mean(values) -> float:
+    return float(np.mean(values)) if len(values) else math.nan
 
 
 def run_scenario(
@@ -127,13 +131,13 @@ def run_scenario(
         scenario=scenario,
         n_runs=n_reps,
         n_nppr_failed=n_nppr_failed,
-        n_ppr_excluded=n_ppr_excluded if fit_competitor else 0,
-        bias_nppr=float(np.mean(err1)) if err1.size else math.nan,
-        bias_ppr=float(np.mean(err_p)) if fit_competitor and err_p.size else math.nan,
-        mse_nppr=float(np.mean(err1**2)) if err1.size else math.nan,
-        mse_ppr=float(np.mean(err_p**2)) if fit_competitor and err_p.size else math.nan,
-        coverage_nppr=_mean(nppr_cover) if with_coverage else math.nan,
-        coverage_ppr=_mean(ppr_cover) if with_coverage and fit_competitor else math.nan,
+        n_ppr_excluded=n_ppr_excluded,
+        bias_nppr=_mean(err1),
+        bias_ppr=_mean(err_p),
+        mse_nppr=_mean(err1**2),
+        mse_ppr=_mean(err_p**2),
+        coverage_nppr=_mean(nppr_cover),
+        coverage_ppr=_mean(ppr_cover),
     )
 
 
@@ -174,21 +178,7 @@ def summarize_grid(results: list[ScenarioResult]) -> list[dict]:
     rows = []
     for r in sorted(results, key=key):
         s = r.scenario
-        rows.append(
-            {
-                "model": s.model.value,
-                "effect": s.effect_beta,
-                "censoring": s.censor_rate,
-                "participants": s.n_participants,
-                "n_runs": r.n_runs,
-                "bias_nppr": r.bias_nppr,
-                "bias_ppr": r.bias_ppr,
-                "mse_nppr": r.mse_nppr,
-                "mse_ppr": r.mse_ppr,
-                "coverage_nppr": r.coverage_nppr,
-                "coverage_ppr": r.coverage_ppr,
-                "n_nppr_failed": r.n_nppr_failed,
-                "n_ppr_excluded": r.n_ppr_excluded,
-            }
-        )
+        cells = (s.model.value, s.effect_beta, s.censor_rate, s.n_participants)
+        cells += tuple(getattr(r, name) for name in GRID_COLUMNS[len(cells):])
+        rows.append(dict(zip(GRID_COLUMNS, cells)))
     return rows

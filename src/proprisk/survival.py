@@ -63,6 +63,14 @@ class Dataset:
         return Dataset.from_columns(self.time[idx], self.status[idx], self.group[idx])
 
 
+@dataclass(frozen=True)
+class ConfidenceInterval:
+    lower: float
+    upper: float
+    level: float
+    n_effective: int = 0  # resamples in which estimation succeeded; 0 for analytic CIs
+
+
 def validate_dataset(rows: Iterable[Sequence]) -> Dataset:
     """Build a Dataset from raw (time, status, group) records.
 

@@ -17,19 +17,20 @@ package's fit must reach the oracle's maximum on each of 15 replicates
 1,000 replicates (EXACT_MLE_BIAS_EFFECT_CELL) to 1e-4.
 """
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import proprisk as pr
 from proprisk.reporting import read_dataset_csv, report_from_json
-from proprisk.simulate import Model, default_grid_path
+from proprisk.simulate import Model
 from proprisk.study import run_scenario
 from proprisk.survival import event_grid, events_at_risk
 
 from oracles import cox_grid_oracle, km_oracle, nppr_oracle
 
-SYNTHETIC = str(default_grid_path().parent / "synthetic_trial.csv")
+SYNTHETIC = str(Path(pr.__file__).parent / "data" / "synthetic_trial.csv")
 
 
 def check(num, name, ok, detail=""):

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import proprisk
 from proprisk import (
     BootstrapConfig,
     EstimationError,
@@ -16,7 +18,6 @@ from proprisk import (
     validate_dataset,
 )
 from proprisk.nppr import fit_tables
-from proprisk.simulate import default_grid_path
 from proprisk.survival import event_grid
 
 from oracles import nppr_scalar
@@ -191,7 +192,7 @@ EQUIVALENCE_CASES = {
     "pr00_c70_n50_rep1": (lambda: _replicate(0.0, 0.7, 50, 1), 250, 101),
     "pr00_c70_n50_rep2": (lambda: _replicate(0.0, 0.7, 50, 2), 250, 102),
     "pr025_c30_n500": (lambda: _replicate(0.25, 0.3, 500, 0), 250, 7),
-    "trial": (lambda: read_dataset_csv(default_grid_path().parent / "synthetic_trial.csv"), 500, 0),
+    "trial": (lambda: read_dataset_csv(Path(proprisk.__file__).parent / "data" / "synthetic_trial.csv"), 500, 0),
 }
 
 

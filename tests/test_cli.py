@@ -68,8 +68,11 @@ class TestFit:
             (b"time,status,group\n1.0,1,1\n2.0\xff,1,0\n", "{path} is not UTF-8"),
             ("time,status,group\n1.0,1,1\n2.0,1,0\n".encode("utf-16"), "{path} is not UTF-8"),
             (b"time,status,group,time\n1.0,1,1,5.0\n2.0,1,0,6.0\n", "repeated column(s): time"),
+            (b"time,status,group\n1.0,1,1\n1e309,1,0\n", "nonfinite time at row 2"),
+            (b"time,status,group\n1.0,1,1\n2.0,1\n", "unparsable status/group at row 2"),
+            (b"time,status,group\n", "dataset is empty"),
         ],
-        ids=["stray_0xff", "utf16", "repeated_time"],
+        ids=["stray_0xff", "utf16", "repeated_time", "overflow_time", "short_record", "header_only"],
     )
     def test_unreadable_csv_exit_code(self, tmp_path, raw, message, capsys):
         path = tmp_path / "odd.csv"
@@ -78,6 +81,24 @@ class TestFit:
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.startswith("error: " + message.format(path=path))
+
+    @pytest.mark.parametrize(
+        "quirk",
+        [
+            lambda lines: [lines[0]] + [line + "\n" for line in lines[1:]],
+            lambda lines: [line + ",extra" for line in lines],
+            lambda lines: [lines[0]] + [line.replace(",1", ",1.0").replace(",0", ",0.0") for line in lines[1:]],
+        ],
+        ids=["blank_lines", "extra_column", "float_status_group"],
+    )
+    def test_quirky_csv_fits_like_plain(self, data_csv, tmp_path, quirk):
+        lines = open(data_csv).read().splitlines()
+        path = tmp_path / "quirky.csv"
+        path.write_text("\n".join(quirk(lines)) + "\n")
+        _, plain = run_cli("fit", "--data", data_csv, "--bootstrap", "0", "--format", "structured")
+        code, quirky = run_cli("fit", "--data", str(path), "--bootstrap", "0", "--format", "structured")
+        assert code == 0
+        assert quirky == plain
 
     def test_estimation_failure_exit_code(self, tmp_path):
         path = tmp_path / "nofit.csv"

@@ -9,11 +9,11 @@ import proprisk as pr
 from proprisk.simulate import (
     EFFECTS,
     Model,
+    CENSOR_RATES,
+    SAMPLE_SIZES,
     _gammainc,
-    build_default_grid,
     default_grid,
     reseed,
-    save_grid,
     scenario_from_dict,
     scenario_to_dict,
     standard_params,
@@ -32,6 +32,42 @@ def _quad_censoring_probability(model, p, c):
         0.0, c, points=points, limit=200, epsabs=0.0, epsrel=1e-13,
     )
     return value / c
+
+
+# c_max of each (model, effect, rate) as the grid shipped it when it was a
+# precomputed JSON file, calibrated by numerical quadrature and brentq.
+PINNED_CMAX = {
+    ("ppr_eu", 0.0, 0.3): 171.1394019087708,
+    ("ppr_eu", 0.0, 0.5): 102.04581580084391,
+    ("ppr_eu", 0.0, 0.7): 56.302960673815214,
+    ("ppr_eu", 0.5, 0.3): 239.5951626720791,
+    ("ppr_eu", 0.5, 0.5): 134.34028058319444,
+    ("ppr_eu", 0.5, 0.7): 72.81562857050633,
+    ("ppr_eu", 0.25, 0.3): 195.5878878955802,
+    ("ppr_eu", 0.25, 0.5): 114.99631836566198,
+    ("ppr_eu", 0.25, 0.7): 63.41090006998798,
+    ("ppr_eu", -0.25, 0.3): 149.74697667005358,
+    ("ppr_eu", -0.25, 0.5): 87.70883809395067,
+    ("ppr_eu", -0.25, 0.7): 48.32950023845354,
+    ("ppr_eu", -0.5, 0.3): 133.70265774111922,
+    ("ppr_eu", -0.5, 0.5): 75.13388762892174,
+    ("ppr_eu", -0.5, 0.7): 40.76709291194723,
+    ("weibull_ph", 0.0, 0.3): 287.75808520585394,
+    ("weibull_ph", 0.0, 0.5): 137.5679818564321,
+    ("weibull_ph", 0.0, 0.7): 62.056323047858314,
+    ("weibull_ph", 0.5, 0.3): 374.52580842934157,
+    ("weibull_ph", 0.5, 0.5): 176.06088653206197,
+    ("weibull_ph", 0.5, 0.7): 78.46042945324206,
+    ("weibull_ph", 0.25, 0.3): 327.17059857900193,
+    ("weibull_ph", 0.25, 0.5): 155.7559806977376,
+    ("weibull_ph", 0.25, 0.7): 70.04793464087595,
+    ("weibull_ph", -0.25, 0.3): 254.80109398709135,
+    ("weibull_ph", -0.25, 0.5): 121.30304784603405,
+    ("weibull_ph", -0.25, 0.7): 54.55345846919584,
+    ("weibull_ph", -0.5, 0.3): 227.16137600541177,
+    ("weibull_ph", -0.5, 0.5): 106.78626542340594,
+    ("weibull_ph", -0.5, 0.7): 47.58861132280317,
+}
 
 
 class TestCalibration:
@@ -81,7 +117,7 @@ class TestCalibration:
             pr.calibrate_censoring(model, params, 0.3)
 
     def test_closed_form_matches_quadrature(self):
-        # c from 0.1x to 20x each shipped c_max: both sides of every EU support
+        # c from 0.1x to 20x each grid c_max: both sides of every EU support
         # end, and both branches (series, continued fraction) of P(1/k, x)
         cells = {(s.model, s.effect_beta, s.censor_rate): (s.params, s.censor_cmax) for s in default_grid()}
         assert len(cells) == 30
@@ -185,14 +221,14 @@ class TestSimulateDataset:
 
 class TestGridSerialization:
     def test_scenario_round_trip(self):
-        sc = pr.make_scenario(Model.WEIBULL_PH, -0.25, 0.5, 100, seed=5)
-        back = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc))))
-        assert back == sc
+        for sc in [pr.make_scenario(Model.WEIBULL_PH, -0.25, 0.5, 100, seed=5), *default_grid()]:
+            back = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(sc))))
+            assert back == sc
 
     def test_load_grid_round_trip_and_bad_file(self, tmp_path):
         sc = pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 60, seed=2)
         path = tmp_path / "grid.json"
-        save_grid([sc], path)
+        path.write_text(json.dumps([scenario_to_dict(sc)]))
         assert pr.load_grid(path) == [sc]
         obj = dict(scenario_to_dict(sc), n_participants=0)
         path.write_text(json.dumps(obj))
@@ -230,13 +266,21 @@ class TestGridSerialization:
         assert {s.effect_beta for s in grid} == set(EFFECTS)
         assert {s.n_participants for s in grid} == {50, 100, 500}
 
-    def test_default_grid_matches_fresh_calibration(self):
-        shipped, fresh = default_grid(), build_default_grid()
-        assert len(fresh) == len(shipped) == 90
-        for a, b in zip(shipped, fresh):
-            assert (a.model, a.effect_beta, a.params, a.censor_rate, a.n_participants) == (
-                b.model, b.effect_beta, b.params, b.censor_rate, b.n_participants)
-            assert b.censor_cmax == pytest.approx(a.censor_cmax, rel=1e-11)
+    def test_default_grid_matches_pinned_calibration(self):
+        grid = default_grid()
+        keys = [(s.model.value, s.effect_beta, s.censor_rate, s.n_participants) for s in grid]
+        assert keys == [
+            (m, e, c, n)
+            for m in ("ppr_eu", "weibull_ph")
+            for e in EFFECTS
+            for c in CENSOR_RATES
+            for n in SAMPLE_SIZES
+        ]
+        for s in grid:
+            assert s.params == standard_params(s.model, s.effect_beta)
+            assert s.seed == 0
+            pinned = PINNED_CMAX[(s.model.value, s.effect_beta, s.censor_rate)]
+            assert s.censor_cmax == pytest.approx(pinned, rel=1e-11)
 
     def test_default_grid_table_parameters(self):
         grid = default_grid()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -87,6 +88,10 @@ class TestSummarizeGrid:
         assert list(row) == list(GRID_COLUMNS)
         assert row["bias_nppr"] == r.bias_nppr
         assert row["participants"] == 60
+        # the columns after the scenario's four are the result's own fields
+        result = {f.name: getattr(r, f.name) for f in fields(r)[1:]}
+        assert set(GRID_COLUMNS[4:]) == set(result)
+        np.testing.assert_equal({c: row[c] for c in result}, result)
 
     def test_reference_row_ordering(self):
         scenarios = []
