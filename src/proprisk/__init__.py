@@ -19,6 +19,7 @@ from .models import (
     eu_log_likelihood,
     eu_quantile,
     fit_ppr,
+    fit_ppr_batch,
     weibull_ph_cdf,
     weibull_ph_quantile,
 )

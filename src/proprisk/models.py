@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,10 +152,47 @@ def _ppr_fit(
     )
 
 
-def _profile_group(alpha: float, d: int, e_rel: float, r: np.ndarray) -> tuple[float, float]:
-    """Maximize one group's EU log-likelihood over theta at a fixed alpha.
+class _Units(NamedTuple):
+    """The groups of a batch of EU fits, two units per lane (its group 1,
+    then its group 0), in the coordinates of :func:`_profile`."""
 
-    In ``w = alpha*log(theta*t_max) <= 0`` the group's log-likelihood is
+    d: np.ndarray  # (U,) events
+    e_rel: np.ndarray  # (U,) sum of log(t/t_max) over the events
+    r_min: np.ndarray  # (U,) the smallest r, +inf without censored rows
+    count: np.ndarray  # (U,) censored rows
+    r: np.ndarray  # (count.sum(),) log(t_max/t) of the censored rows, unit after unit
+    lane: np.ndarray  # (count.sum(),) the lane of each censored row
+
+
+def _unit_rows(units: _Units, lanes: np.ndarray):
+    """The units of the lanes ``lanes`` (ascending), their censored rows'
+    r, the position of each row's unit, and the function that sums values
+    (..., rows) over each unit's rows, 0.0 for a unit without rows.
+
+    The sums are np.add.reduceat segments of the flat rows: a segment gets
+    the same float whatever else the array holds, so a lane's sums do not
+    depend on the rest of its batch (a row sum over zero-padded rows would).
+    """
+    sel = (2 * lanes[:, None] + np.arange(2)).ravel()
+    keep = np.zeros(units.d.shape[0] // 2, dtype=bool)
+    keep[lanes] = True
+    count = units.count[sel]
+    full = count > 0
+    starts = (np.cumsum(count) - count)[full]
+
+    def sums(values: np.ndarray) -> np.ndarray:
+        out = np.zeros(values.shape[:-1] + count.shape)
+        out[..., full] = np.add.reduceat(values, starts, axis=-1)
+        return out
+
+    return sel, units.r[keep[units.lane]], np.repeat(np.arange(sel.shape[0]), count), sums
+
+
+def _profile(units: _Units, alpha: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize each group's EU log-likelihood over theta at a fixed alpha,
+    for the lanes ``lanes`` (ascending) at their alpha (k,).
+
+    In ``w = alpha*log(theta*t_max) <= 0`` a group's log-likelihood is
     ``d*log(alpha) + alpha*e_rel + d*w + sum log(1 - exp(w - alpha*r))`` plus
     a constant, where ``e_rel`` sums log(t/t_max) over the events and ``r``
     holds log(t_max/t) for the censored rows. It is concave in w, and its
@@ -164,79 +202,232 @@ def _profile_group(alpha: float, d: int, e_rel: float, r: np.ndarray) -> tuple[f
     started where the score is <= 0, descends monotonically onto the single
     root without leaving the support.
 
-    Returns ``(w, dl/dalpha)`` at the maximum. The bound on w does not move
-    with alpha, so the alpha-derivative there is also the derivative of the
-    profile log-likelihood (envelope theorem).
+    The groups run Newton in lockstep, each a masked lane over the flat
+    censored rows: a group stops at the iteration where its own loop would
+    stop and keeps that iteration's h, so its result does not depend on the
+    other groups. Returns ``(w, dl/dalpha)`` at the maximum, each (k, 2).
+    The bound on w does not move with alpha, so the alpha-derivative there
+    is also the derivative of the profile log-likelihood (envelope theorem).
     """
-    s = -alpha * r
-    # sum h >= max h, which reaches d here, so the score is <= 0 at the start
-    w = min(0.0, math.log(d / (d + 1.0)) - float(s.max())) if s.size else 0.0
-    for _ in range(100):
-        h = 1.0 / np.expm1(-(w + s))
-        score = d - float(h.sum())
-        if score >= 0.0:
-            break
-        step = score / float(np.sum(h * (1.0 + h)))
-        w += step
-        if -step < 1e-13:
-            break
-    return w, d / alpha + e_rel + float(np.sum(r * h))
+    sel, r, at, sums = _unit_rows(units, lanes)
+    a = np.repeat(alpha, 2)
+    d = units.d[sel]
+    dl_base = d / a + units.e_rel[sel]
+    s = -a[at] * r
+    # sum h >= max h, which reaches d here, so the score is <= 0 at the start;
+    # max s is -alpha*r_min, and a group without censored rows starts (and stays) at 0
+    w = np.minimum(0.0, np.log(d / (d + 1.0)) - (-a * units.r_min[sel]))
+    dl = np.zeros_like(w)
+    running = np.ones(w.shape, dtype=bool)
+    terms = np.empty((3,) + r.shape)  # h, h*(1 + h), r*h
+    h = terms[0]
+    # stopped groups keep being evaluated, at points their own loop never reaches
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(100):
+            np.divide(1.0, np.expm1(-(w[at] + s)), out=h)
+            np.multiply(h, 1.0 + h, out=terms[1])
+            np.multiply(r, h, out=terms[2])
+            sum_h, sum_c, sum_rh = sums(terms)
+            score = d - sum_h
+            dl = np.where(running, dl_base + sum_rh, dl)
+            running &= ~(score >= 0.0)
+            step = score / sum_c
+            w = np.where(running, w + step, w)
+            running &= ~(-step < 1e-13)
+            if not running.any():
+                break
+    return w.reshape(-1, 2), dl.reshape(-1, 2)
 
 
-def _brentq(f, a: float, b: float, xtol: float, rtol: float = 4 * np.finfo(float).eps, maxiter: int = 100) -> float:
-    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+def _brentq(f, a, b, xtol: float, rtol: float = 4 * np.finfo(float).eps, maxiter: int = 100):
+    """Roots of f in the brackets [a, b] by Brent's method (Brent 1973, ch. 4).
 
-    It follows the common C implementation step for step (the bracket swap,
-    the interpolate/extrapolate test, the ``delta`` step), so it returns the
-    same float for the same f, bracket and tolerances; the tests hold it to
-    that. Raises ValueError when f returns NaN or f(a) and f(b) have the
-    same sign, and RuntimeError when ``maxiter`` steps do not reach the
-    tolerance 2*delta.
+    ``a`` and ``b`` are floats, and f maps a float to a float; or they are
+    arrays, one bracket per lane, and ``f(x, lanes)`` gives the values at
+    the points x of the lanes ``lanes`` (ascending indices). The lanes run
+    in lockstep, each step a masked array update of the lanes not yet
+    converged, with one call of f for all of them. Every lane follows the
+    common C implementation step for step (the bracket swap, the
+    interpolate/extrapolate test, the ``delta`` step), so it returns the
+    same float as that implementation for the same f, bracket and
+    tolerances; the tests hold it to that. Raises ValueError when f returns
+    NaN or f(a) and f(b) have the same sign, and RuntimeError when
+    ``maxiter`` steps do not reach the tolerance 2*delta.
     """
+    one = np.ndim(a) == 0
 
-    def fx(x: float) -> float:
-        y = f(x)
-        if math.isnan(y):
-            raise ValueError(f"the function value at x={x} is NaN")
+    def fx(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        y = np.array([f(float(x[0]))]) if one else np.asarray(f(x, lanes), dtype=float)
+        if np.isnan(y).any():
+            raise ValueError(f"the function value at x={x[np.isnan(y)][0]} is NaN")
         return y
 
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
+    xpre, xcur = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
+    all_lanes = np.arange(xcur.shape[0])
+    fpre, fcur = fx(xpre, all_lanes), fx(xcur, all_lanes)
+    root = np.where(fpre == 0.0, xpre, xcur)
+    running = (fpre != 0.0) & (fcur != 0.0)
+    if np.any(running & ((fpre < 0.0) == (fcur < 0.0))):
         raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
+    xblk = fblk = spre = scur = np.zeros_like(xcur)
+    # converged lanes keep stepping, unevaluated, until every lane is done
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(maxiter):
+            flip = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+            delta = (xtol + rtol * np.abs(xcur)) / 2.0
+            sbis = (xblk - xcur) / 2.0
+            done = running & ((fcur == 0.0) | (np.abs(sbis) < delta))
+            root = np.where(done, xcur, root)
+            running &= ~done
+            if not running.any():
+                break
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, interpolate, extrapolate)
+            good = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+            good &= 2.0 * np.abs(stry) < np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)
+            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            lanes = all_lanes[running]
+            fcur = fcur.copy()
+            fcur[lanes] = fx(xcur[lanes], lanes)
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = fx(xcur)
-    raise RuntimeError(f"brentq did not converge after {maxiter} iterations, value is {xcur}")
+            raise RuntimeError(f"brentq did not converge after {maxiter} iterations, value is {xcur[running][0]}")
+    return float(root[0]) if one else root
+
+
+def _solve_log_alpha(units: _Units) -> np.ndarray:
+    """The root in log(alpha) of each lane's profile derivative, NaN where
+    the profile likelihood still increases at alpha = e^50.
+
+    The derivative decreases in alpha. Every lane doubles or halves alpha
+    from 1 until its derivative changes sign, and Brent's method refines
+    the bracket; both run in lockstep over the lanes.
+    """
+
+    def dprofile(log_alpha: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        dl = _profile(units, np.exp(log_alpha), lanes)[1]
+        return dl[:, 0] + dl[:, 1]
+
+    every = np.arange(units.d.shape[0] // 2)
+    lo, hi = np.zeros(every.shape), np.zeros(every.shape)
+    f_lo = dprofile(hi, every)
+    f_hi = f_lo.copy()
+    step = np.where(f_lo > 0, math.log(2.0), -math.log(2.0))
+    searching = f_hi != 0.0
+    unbounded = np.zeros(every.shape, dtype=bool)
+    while searching.any():
+        lo, f_lo = np.where(searching, hi, lo), np.where(searching, f_hi, f_lo)
+        hi = np.where(searching, hi + step, hi)
+        unbounded |= searching & (np.abs(hi) > 50.0)
+        searching &= ~unbounded
+        lanes = every[searching]
+        f_hi[lanes] = dprofile(hi[lanes], lanes)
+        searching &= (f_hi != 0.0) & ((f_hi > 0) == (f_lo > 0))
+    log_alpha = np.where(unbounded, math.nan, hi)
+    bracketed = every[~unbounded & (f_hi != 0.0)]
+    if bracketed.shape[0]:
+        log_alpha[bracketed] = _brentq(
+            lambda x, lanes: dprofile(x, bracketed[lanes]),
+            np.minimum(lo, hi)[bracketed],
+            np.maximum(lo, hi)[bracketed],
+            xtol=1e-12,
+        )
+    return log_alpha
+
+
+def _beta_variance(units: _Units, alpha: np.ndarray, w: np.ndarray, lanes: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
+    """Variance of beta from the observed information in (alpha, w_1, w_0)
+    at an interior maximum, for the lanes ``lanes``; off the bound every
+    group has censored rows."""
+    sel, r, at, sums = _unit_rows(units, lanes)
+    h = 1.0 / np.expm1(np.repeat(alpha, 2)[at] * r - w.ravel()[at])
+    c = h * (1.0 + h)
+    s_rrc, s_rc, s_c = sums(np.stack((r * r * c, r * c, c))).reshape(3, -1, 2)
+    d_a2 = units.d[sel].reshape(-1, 2) / (alpha**2)[:, None]
+    info = np.zeros((lanes.shape[0], 3, 3))
+    info[:, 0, 0] = (d_a2[:, 0] + s_rrc[:, 0]) + (d_a2[:, 1] + s_rrc[:, 1])
+    info[:, 0, 1] = info[:, 1, 0] = -s_rc[:, 0]
+    info[:, 0, 2] = info[:, 2, 0] = -s_rc[:, 1]
+    info[:, 1, 1], info[:, 2, 2] = s_c[:, 0], s_c[:, 1]
+    # beta = w0 - w1 + alpha*log(max t_1/max t_0) is linear in these coordinates
+    grad = np.stack((log_ratio, -np.ones_like(log_ratio), np.ones_like(log_ratio)), axis=1)
+    sol = np.linalg.solve(info, grad[..., None])[..., 0]
+    return grad[:, 0] * sol[:, 0] + grad[:, 1] * sol[:, 1] + grad[:, 2] * sol[:, 2]
+
+
+def fit_ppr_batch(datasets: Sequence[Dataset], level: float = 0.95) -> list[PprFit]:
+    """:func:`fit_ppr` of each dataset, the fits run in lockstep.
+
+    Each dataset is a lane. The per-group Newton, the doubling bracket in
+    log alpha and Brent's method are masked array steps over the lanes,
+    and every sum over a lane's rows is its own segment of a flat array, so
+    a lane's fit does not depend on the rest of the batch: it equals
+    ``fit_ppr`` on that dataset alone, bit for bit.
+    """
+    fits: list[PprFit | None] = [None] * len(datasets)
+    lanes, groups = [], []
+    for i, data in enumerate(datasets):
+        # canonical row order makes the fit exactly invariant to input permutation
+        data = data.take(np.lexsort((data.status, data.group, data.time)))
+        (t1, s1), (t0, s0) = data.group_arrays(1), data.group_arrays(0)
+        if not (t1.size and t0.size):
+            fits[i] = _ppr_fit(EuParams(1.0, 1.0, 1.0), math.nan, level, False, "a group is empty")
+            continue
+        bounds = (1.0 / float(t1.max()), 1.0 / float(t0.max()))
+        start = EuParams(1.0, 0.9 * bounds[0], 0.9 * bounds[1])
+        events = (np.count_nonzero(s1 == 1), np.count_nonzero(s0 == 1))
+        if not all(events):
+            reason = "a group has no events" if any(events) else "no events"
+            fits[i] = _ppr_fit(start, math.nan, level, False, reason)
+            continue
+        lanes.append((i, data, start, bounds, math.log(float(t1.max() / t0.max()))))
+        for t, s, d in ((t1, s1, events[0]), (t0, s0, events[1])):
+            log_rel = np.log(t) - math.log(float(t.max()))
+            r = -log_rel[s == 0]
+            groups.append((d, float(log_rel[s == 1].sum()), r.min() if r.size else math.inf, r))
+    if not lanes:
+        return fits
+
+    d, e_rel, r_min, r = zip(*groups)
+    count = np.array([x.shape[0] for x in r])
+    lane = np.repeat(np.arange(count.shape[0]) // 2, count)
+    units = _Units(np.array(d, dtype=float), np.array(e_rel), np.array(r_min), count, np.concatenate(r), lane)
+    log_alpha = _solve_log_alpha(units)
+    alpha = np.exp(log_alpha)
+    bounded = np.flatnonzero(~np.isnan(log_alpha))
+    w = np.full((len(lanes), 2), math.nan)
+    w[bounded] = _profile(units, alpha[bounded], bounded)[0]
+    # exp(w/alpha) <= 1 keeps theta inside the support; w = 0 gives the bound exactly
+    theta = np.exp(w / alpha[:, None]) * np.array([lane[3] for lane in lanes])
+    on_bound = np.any(w == 0.0, axis=1)
+    interior = np.flatnonzero(~np.isnan(log_alpha) & ~on_bound)
+    var_beta = np.full(len(lanes), math.nan)
+    log_ratio = np.array([lane[4] for lane in lanes])[interior]
+    var_beta[interior] = _beta_variance(units, alpha[interior], w[interior], interior, log_ratio)
+
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    for k, (i, data, start, _, _) in enumerate(lanes):
+        if math.isnan(log_alpha[k]):
+            fits[i] = _ppr_fit(start, math.nan, level, False, "likelihood still increasing as alpha grows")
+            continue
+        params = EuParams(float(alpha[k]), float(theta[k, 0]), float(theta[k, 1]))
+        loglik = eu_log_likelihood(data, params)
+        if on_bound[k]:
+            fits[i] = _ppr_fit(params, loglik, level, True, ci_reason="estimate at support boundary")
+            continue
+        beta = -params.alpha * math.log(params.theta1 / params.theta0)
+        half = z * math.sqrt(var_beta[k])
+        fits[i] = _ppr_fit(params, loglik, level, True, ci=ConfidenceInterval(beta - half, beta + half, level))
+    return fits
 
 
 def fit_ppr(data: Dataset, level: float = 0.95) -> PprFit:
@@ -244,8 +435,8 @@ def fit_ppr(data: Dataset, level: float = 0.95) -> PprFit:
 
     With w_g = alpha*log(theta_g*max(t_g)) the log-likelihood is jointly
     concave in (alpha, w_1, w_0) on the support w_g <= 0. Each group's w_g is
-    solved exactly at a given alpha (:func:`_profile_group`), which leaves
-    the profile log-likelihood of alpha, also concave. Its derivative is
+    solved exactly at a given alpha (:func:`_profile`), which leaves the
+    profile log-likelihood of alpha, also concave. Its derivative is
     bracketed on a doubling grid of alpha around 1 and its root refined by
     Brent's method. A group's estimate lands on its support bound
     theta_g = 1/max(t_g) when its score is still non-negative there, which
@@ -260,73 +451,11 @@ def fit_ppr(data: Dataset, level: float = 0.95) -> PprFit:
     maximum this equals the delta method in (alpha, theta_1, theta_0). No
     interval is reported when a group's w_g is 0, i.e. its estimate sits on
     the support bound (the information is undefined there).
+
+    This is a batch of one: :func:`fit_ppr_batch` runs many datasets' fits
+    in lockstep, each lane bit-identical to this call on its dataset.
     """
-    # canonical row order makes the fit exactly invariant to input permutation
-    order = np.lexsort((data.status, data.group, data.time))
-    data = data.take(order)
-    t1, s1 = data.group_arrays(1)
-    t0, s0 = data.group_arrays(0)
-    if not (t1.size and t0.size):
-        return _ppr_fit(EuParams(1.0, 1.0, 1.0), math.nan, level, False, "a group is empty")
-    bound1 = 1.0 / float(t1.max())
-    bound0 = 1.0 / float(t0.max())
-    start = EuParams(1.0, 0.9 * bound1, 0.9 * bound0)
-    if not (np.any(s1 == 1) or np.any(s0 == 1)):
-        return _ppr_fit(start, math.nan, level, False, "no events")
-    if not (np.any(s1 == 1) and np.any(s0 == 1)):
-        return _ppr_fit(start, math.nan, level, False, "a group has no events")
-
-    groups = []
-    for t, s in ((t1, s1), (t0, s0)):
-        log_rel = np.log(t) - math.log(float(t.max()))
-        groups.append((int(np.count_nonzero(s == 1)), float(log_rel[s == 1].sum()), -log_rel[s == 0]))
-
-    def dprofile(log_alpha: float) -> float:
-        alpha = math.exp(log_alpha)
-        return sum(_profile_group(alpha, *g)[1] for g in groups)
-
-    # the derivative decreases in alpha; double or halve alpha from 1 until it changes sign
-    lo = hi = 0.0
-    f_lo = f_hi = dprofile(0.0)
-    step = math.log(2.0) if f_lo > 0 else -math.log(2.0)
-    while f_hi != 0.0 and (f_hi > 0) == (f_lo > 0):
-        lo, f_lo = hi, f_hi
-        hi += step
-        if abs(hi) > 50.0:
-            return _ppr_fit(start, math.nan, level, False, "likelihood still increasing as alpha grows")
-        f_hi = dprofile(hi)
-    log_alpha = hi if f_hi == 0.0 else _brentq(dprofile, min(lo, hi), max(lo, hi), xtol=1e-12)
-    alpha = math.exp(log_alpha)
-    ws = [_profile_group(alpha, *g)[0] for g in groups]
-    # exp(w/alpha) <= 1 keeps theta inside the support; w = 0 gives the bound exactly
-    theta1, theta0 = (math.exp(w / alpha) * bound for w, bound in zip(ws, (bound1, bound0)))
-    params = EuParams(alpha, theta1, theta0)
-    loglik = eu_log_likelihood(data, params)
-    if 0.0 in ws:
-        return _ppr_fit(params, loglik, level, True, ci_reason="estimate at support boundary")
-
-    # observed information in (alpha, w1, w0); off the bound every group has censored rows
-    info = np.zeros((3, 3))
-    for i, ((d, _, r), w) in enumerate(zip(groups, ws), start=1):
-        h = 1.0 / np.expm1(alpha * r - w)
-        c = h * (1.0 + h)
-        info[0, 0] += d / alpha**2 + float(np.sum(r * r * c))
-        info[0, i] = info[i, 0] = -float(np.sum(r * c))
-        info[i, i] = float(np.sum(c))
-    # beta = w0 - w1 + alpha*log(max t_1/max t_0) is linear in these coordinates
-    grad = np.array([math.log(float(t1.max() / t0.max())), -1.0, 1.0])
-    var_beta = float(grad @ np.linalg.solve(info, grad))
-
-    beta = -params.alpha * math.log(params.theta1 / params.theta0)
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    half = z * math.sqrt(var_beta)
-    return _ppr_fit(
-        params,
-        loglik,
-        level,
-        True,
-        ci=ConfidenceInterval(beta - half, beta + half, level),
-    )
+    return fit_ppr_batch([data], level)[0]
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Input CSV schema (fixed): header ``time,status,group`` with status 1 =
 event / 0 = right-censored and group 1 = treatment / 0 = control. Column
-order is free and extra columns are ignored.
+order is free and extra columns are ignored; every record has as many
+fields as the header, and blank lines are skipped.
 
 Report formats: ``table`` is a human summary, ``delimited`` emits CSV
 blocks (summary, pointwise series, risk-difference series), ``structured``
@@ -35,16 +36,22 @@ def read_dataset_csv(path) -> Dataset:
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            fields = reader.fieldnames or []
+            fields = next(reader, [])
             missing = [c for c in REQUIRED_COLUMNS if c not in fields]
             if missing:
                 raise ValidationError(f"missing column(s): {', '.join(missing)}")
             repeated = [c for c in REQUIRED_COLUMNS if fields.count(c) > 1]
             if repeated:
                 raise ValidationError(f"repeated column(s): {', '.join(repeated)}")
-            rows = [(rec["time"], rec["status"], rec["group"]) for rec in reader]
+            cols = [fields.index(c) for c in REQUIRED_COLUMNS]
+            rows = []
+            # blank lines are skipped, so row i is the i-th data record
+            for i, rec in enumerate(filter(None, reader), start=1):
+                if len(rec) != len(fields):
+                    raise ValidationError(f"{len(rec)} fields where the header has {len(fields)} at row {i}")
+                rows.append([rec[j] for j in cols])
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
     return validate_dataset(rows)

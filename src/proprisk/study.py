@@ -21,6 +21,16 @@ beta = -alpha*log(theta1/theta0) = 0.5049, 0.2159, -0.2471 and -0.4942 for
 the nominal effects 0.5, 0.25, -0.25 and -0.5. So the PR effect-0.25 cells
 carry a bias of about -0.034 that no estimator can remove.
 
+Computation: replicates are fitted in chunks of about CHUNK_ROWS data
+rows, which bounds the working set (about 1 MB), not the result. Each
+replicate is still drawn from its own stream by ``simulate_dataset``. The
+chunk's NPPR estimates come from one ``nppr.fit_tables`` call on the
+replicates' count tables, zero-padded to a common K; the EU competitor
+comes from ``models.fit_ppr_batch``, whose lanes run the profile-likelihood
+fit in lockstep, each bit-identical to ``fit_ppr`` on its replicate.
+tests/test_study.py checks each NPPR beta against ``nppr_fit`` to 1e-12,
+with the same failures, and one-replicate chunks against the default.
+
 The grid table (summarize_grid, and the CSV that ``proprisk study`` writes)
 has the columns GRID_COLUMNS: the scenario's model, effect, censoring rate
 and sample size, then the fields of ScenarioResult.
@@ -35,11 +45,14 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, percentile_bootstrap
 from .errors import EstimationError
-from .models import fit_ppr
-from .nppr import nppr_fit
+from .models import fit_ppr_batch
+from .nppr import fit_tables
 from .simulate import Model, Scenario, simulate_dataset
+from .survival import Dataset, event_grid
 
 PPR_EXCLUSION_THRESHOLD = 3.0
+# Data rows per chunk of replicates; bounds the working set, not the result.
+CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -63,6 +76,19 @@ def _bootstrap_seed(scenario: Scenario, replicate: int) -> int:
 
 def _mean(values) -> float:
     return float(np.mean(values)) if len(values) else math.nan
+
+
+def _nppr_betas(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
+    """The NPPR beta of each dataset and whether it exists (where it does
+    not, ``nppr_fit`` raises): one ``fit_tables`` call on the datasets'
+    count tables, zero-padded to a common K. An empty trailing bin is
+    neutral in the kernel: a Kaplan-Meier product term of 1.0, a Greenwood
+    term of 0.0 and no events."""
+    grids = [event_grid(data) for data in datasets]
+    width = max(grid.n_cells for grid in grids)
+    codes = np.concatenate([grid.cell + i * width for i, grid in enumerate(grids)])
+    fit = fit_tables(np.bincount(codes, minlength=len(grids) * width).reshape(len(grids), -1, 2, 2))
+    return fit.beta, fit.usable.any(axis=-1)
 
 
 def run_scenario(
@@ -95,26 +121,28 @@ def run_scenario(
     n_nppr_failed = 0
     n_ppr_excluded = 0
 
-    for rep in range(n_reps):
-        if progress and rep and rep % 200 == 0:
-            print(f"  replicate {rep}/{n_reps}", file=sys.stderr)
-        data = simulate_dataset(scenario, rep)
-
-        try:
-            beta = nppr_fit(data).estimate.beta
-            nppr_err.append(beta - true_beta)
-            if with_coverage:
-                cfg = replace(bootstrap_config, seed=_bootstrap_seed(scenario, rep))
-                try:
-                    ci = percentile_bootstrap(data, cfg).ci_beta
-                    nppr_cover.append(float(ci.lower <= true_beta <= ci.upper))
-                except EstimationError:
-                    pass
-        except EstimationError:
-            n_nppr_failed += 1
-
-        if fit_competitor:
-            fit = fit_ppr(data)
+    chunk = max(1, CHUNK_ROWS // scenario.n_participants)
+    for first in range(0, n_reps, chunk):
+        reps = range(first, min(first + chunk, n_reps))
+        datasets = [simulate_dataset(scenario, rep) for rep in reps]
+        betas, fitted = _nppr_betas(datasets)
+        fits = fit_ppr_batch(datasets) if fit_competitor else [None] * len(reps)
+        for rep, data, beta, ok, fit in zip(reps, datasets, betas, fitted, fits):
+            if progress and rep and rep % 200 == 0:
+                print(f"  replicate {rep}/{n_reps}", file=sys.stderr)
+            if ok:
+                nppr_err.append(float(beta) - true_beta)
+                if with_coverage:
+                    cfg = replace(bootstrap_config, seed=_bootstrap_seed(scenario, rep))
+                    try:
+                        ci = percentile_bootstrap(data, cfg).ci_beta
+                        nppr_cover.append(float(ci.lower <= true_beta <= ci.upper))
+                    except EstimationError:
+                        pass
+            else:
+                n_nppr_failed += 1
+            if fit is None:
+                continue
             if not fit.converged or abs(fit.beta) > PPR_EXCLUSION_THRESHOLD:
                 n_ppr_excluded += 1
             else:

@@ -69,10 +69,11 @@ class TestFit:
             ("time,status,group\n1.0,1,1\n2.0,1,0\n".encode("utf-16"), "{path} is not UTF-8"),
             (b"time,status,group,time\n1.0,1,1,5.0\n2.0,1,0,6.0\n", "repeated column(s): time"),
             (b"time,status,group\n1.0,1,1\n1e309,1,0\n", "nonfinite time at row 2"),
-            (b"time,status,group\n1.0,1,1\n2.0,1\n", "unparsable status/group at row 2"),
+            (b"time,status,group\n1.0,1,1\n2.0,1\n", "2 fields where the header has 3 at row 2"),
+            (b"time,status,group\n1.0,1,1\n\n2.0,1,0,9\n", "4 fields where the header has 3 at row 2"),
             (b"time,status,group\n", "dataset is empty"),
         ],
-        ids=["stray_0xff", "utf16", "repeated_time", "overflow_time", "short_record", "header_only"],
+        ids=["stray_0xff", "utf16", "repeated_time", "overflow_time", "short_record", "surplus_field", "header_only"],
     )
     def test_unreadable_csv_exit_code(self, tmp_path, raw, message, capsys):
         path = tmp_path / "odd.csv"

@@ -253,6 +253,43 @@ class TestFitPpr:
         assert len(calls) == sum(f.converged for f in fits)
 
 
+class TestFitPprBatch:
+    """Lanes of one batch against single fits: the same fit, bit for bit."""
+
+    @staticmethod
+    def _datasets():
+        tiny = [
+            validate_dataset([(1.0, 0, 1), (2.0, 0, 0)]),  # no events
+            validate_dataset([(1.0, 0, 1), (2.0, 0, 1), (1.5, 1, 0), (3.0, 0, 0)]),  # a group without events
+            validate_dataset([(2.0, 1, 1), (2.0, 1, 1), (3.0, 1, 0)]),  # alpha unbounded
+            Dataset.from_columns([1.0, 2.0, 3.0], [1, 0, 1], [1, 1, 1]),  # an empty group
+        ]
+        small = [_sim(0.0, 0.7, 50, seed=20240801, rep=rep) for rep in range(12)]
+        large = [_sim(0.5, 0.3, 500, seed=20240801, rep=rep) for rep in range(4)]
+        return small[:6] + tiny[:2] + large + small[6:] + tiny[2:]
+
+    @pytest.mark.parametrize("level", [0.95, 0.9])
+    def test_every_lane_equals_its_single_fit(self, level):
+        data = self._datasets()
+        fits = models.fit_ppr_batch(data, level)
+        # repr round-trips every float, NaN and the sign of zero included
+        assert [repr(f) for f in fits] == [repr(fit_ppr(d, level)) for d in data]
+        reasons = {f.reason for f in fits}
+        assert {"no events", "a group has no events", "a group is empty"} <= reasons
+        assert "likelihood still increasing as alpha grows" in reasons
+        assert any(f.ci_available for f in fits)
+        assert any(f.ci_reason == "estimate at support boundary" for f in fits)
+
+    def test_lane_order_does_not_matter(self):
+        data = self._datasets()
+        forward = models.fit_ppr_batch(data)
+        backward = models.fit_ppr_batch(data[::-1])
+        assert [repr(f) for f in forward] == [repr(f) for f in backward[::-1]]
+
+    def test_empty_batch(self):
+        assert models.fit_ppr_batch([]) == []
+
+
 class TestBrentq:
     """The package's Brent root against scipy's brentq: the same float."""
 
@@ -292,9 +329,13 @@ class TestBrentq:
         sc = proprisk.make_scenario(proprisk.Model.PPR_EU, effect, rate, n, seed=20240801)
         for rep in range(20):
             fit_ppr(proprisk.simulate_dataset(sc, rep))
-        assert len(calls) >= 15
-        for f, a, b, kw, root in calls:
-            assert root == optimize.brentq(f, a, b, **kw)
+        models.fit_ppr_batch([proprisk.simulate_dataset(sc, rep) for rep in range(20, 40)])
+        lanes = [(f, a[i], b[i], kw, root[i], i) for f, a, b, kw, root in calls for i in range(len(a))]
+        assert len(calls) >= 16 and len(lanes) >= 30
+        for f, a, b, kw, root, i in lanes:
+            # one lane's scalar function: the lane evaluated alone
+            lane = lambda x: float(f(np.array([x]), np.array([i]))[0])
+            assert root == optimize.brentq(lane, a, b, **kw)
 
     def test_nan_raises(self):
         # NaN at the bracket's end, and at the first interpolated point 0.5

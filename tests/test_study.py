@@ -6,6 +6,7 @@ import pytest
 
 import proprisk as pr
 from proprisk.simulate import Model
+from proprisk import study
 from proprisk.study import GRID_COLUMNS, run_scenario, summarize_grid
 
 
@@ -74,6 +75,48 @@ class TestRunScenario:
         assert 0.0 <= r.coverage_nppr <= 1.0
         off = run_scenario(sc, 10)
         assert math.isnan(off.coverage_nppr)
+
+
+class TestChunkedReplicates:
+    """The study fits replicates in chunks; each replicate's numbers are
+    those of its own fit."""
+
+    SCENARIOS = [
+        (Model.PPR_EU, 0.0, 0.7, 6, 0, 12),  # forced failures: no group-0 events, disjoint windows
+        (Model.PPR_EU, 0.0, 0.7, 30, 3, 40),
+        (Model.PPR_EU, 0.5, 0.3, 500, 1, 6),
+        (Model.WEIBULL_PH, -0.5, 0.5, 50, 2, 30),
+    ]
+
+    @pytest.mark.parametrize("model, effect, rate, n, seed, reps", SCENARIOS)
+    def test_nppr_betas_match_nppr_fit(self, model, effect, rate, n, seed, reps):
+        sc = pr.make_scenario(model, effect, rate, n, seed=seed)
+        data = [pr.simulate_dataset(sc, rep) for rep in range(reps)]
+        betas, fitted = study._nppr_betas(data)
+        failed = []
+        for rep, d in enumerate(data):
+            try:
+                beta = pr.nppr_fit(d).estimate.beta
+            except pr.EstimationError:
+                failed.append(rep)
+                continue
+            assert abs(betas[rep] - beta) <= 1e-12
+        assert np.flatnonzero(~fitted).tolist() == failed
+        if n == 6:
+            assert {0, 2} <= set(failed)
+
+    @pytest.mark.parametrize("model, effect, rate, n, seed, reps", SCENARIOS)
+    def test_one_replicate_chunks_agree(self, monkeypatch, model, effect, rate, n, seed, reps):
+        sc = pr.make_scenario(model, effect, rate, n, seed=seed)
+        chunked = run_scenario(sc, reps)
+        monkeypatch.setattr(study, "CHUNK_ROWS", 1)
+        single = run_scenario(sc, reps)
+        for f in fields(chunked):
+            a, b = getattr(chunked, f.name), getattr(single, f.name)
+            if f.name == "scenario" or f.name.startswith("n_"):
+                assert a == b
+            else:
+                assert a == pytest.approx(b, abs=1e-12, nan_ok=True)
 
 
 class TestSummarizeGrid:
