@@ -22,7 +22,7 @@ from .bootstrap import BootstrapConfig, percentile_bootstrap
 from .errors import EstimationError, ValidationError
 from .models import cox_two_group, fit_ppr
 from .nppr import nppr_fit
-from .reporting import build_report, emit_report, read_dataset_csv, write_dataset_csv
+from .reporting import _csv_cell, _finite, build_report, emit_report, read_dataset_csv, write_dataset_csv
 from .simulate import default_grid, load_grid, reseed, simulate_dataset
 from .study import GRID_COLUMNS, run_scenario, summarize_grid
 
@@ -62,11 +62,6 @@ def _check_reps_seed(args) -> None:
 
 def _ci_dict(ci):
     return {"lower": ci.lower, "upper": ci.upper, "level": ci.level}
-
-
-def _finite(x):
-    """x, or None (JSON null) where it is NaN or infinite."""
-    return x if math.isfinite(x) else None
 
 
 def _dump_json(payload) -> None:
@@ -154,23 +149,16 @@ def _cmd_study(args) -> int:
     return EXIT_OK
 
 
-def _csv_cell(v):
-    if isinstance(v, float):
-        return "" if math.isnan(v) else repr(v)
-    return v
-
-
 def _cmd_plotdata(args) -> int:
     data = read_dataset_csv(args.data)
+    result = nppr_fit(data)
     writer = csv.writer(sys.stdout)
     if args.series == "cdf":
-        result = nppr_fit(data)
         writer.writerow(["time", "cdf_treatment", "cdf_control"])
         for t, (c0, c1) in zip(result.event_times, result.cdf):
             writer.writerow([repr(float(t)), repr(float(c1)), repr(float(c0))])
         return EXIT_OK
 
-    result = nppr_fit(data)
     report = build_report(result, None)
     if args.series == "beta_t":
         writer.writerow(["time", "beta_t"])
@@ -184,7 +172,7 @@ def _cmd_plotdata(args) -> int:
         writer.writerow(["time", "rd", "nnt"])
         rd = report.rd_nnt_series
         for t, r, nnt in zip(rd.times, rd.rd, rd.nnt):
-            writer.writerow([repr(float(t)), repr(float(r)), "" if math.isnan(nnt) else repr(float(nnt))])
+            writer.writerow([repr(float(t)), repr(float(r)), _csv_cell(nnt)])
     return EXIT_OK
 
 

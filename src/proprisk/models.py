@@ -81,8 +81,7 @@ def eu_log_likelihood(data: Dataset, params: EuParams) -> float:
 
     Events contribute the log density, censored rows the log survival
     probability. Any observed time beyond its group's support boundary
-    1/theta makes the likelihood zero; -inf is returned so optimizers can
-    treat it as an ordinary (terrible) value.
+    1/theta makes the likelihood zero, so the log-likelihood is -inf there.
     """
     theta = np.where(data.group == 1, params.theta1, params.theta0)
     x = theta * data.time
@@ -93,7 +92,7 @@ def eu_log_likelihood(data: Dataset, params: EuParams) -> float:
         ll = np.count_nonzero(events) * math.log(params.alpha)
         ll += params.alpha * float(np.sum(np.log(theta[events])))
         ll += (params.alpha - 1.0) * float(np.sum(np.log(data.time[events])))
-        # x**alpha can underflow to 0 for extreme alpha probes; that is fine
+        # a censored row at its support end (x = 1) has survival 0: log 0 = -inf
         cens = x[~events] ** params.alpha
         ll += float(np.sum(np.log1p(-np.minimum(cens, 1.0))))
     return float(ll) if not math.isnan(ll) else -math.inf
@@ -133,9 +132,11 @@ def _ppr_fit(
     level: float,
     converged: bool,
     reason: str = "",
-    ci: ConfidenceInterval | None = None,
+    half: float = math.nan,
     ci_reason: str = "",
 ) -> PprFit:
+    """The fit at ``params``; beta's interval is [beta - half, beta + half],
+    NaN without a half-width."""
     try:
         log_rr = params.alpha * math.log(params.theta1 / params.theta0)
     except (ValueError, ZeroDivisionError):
@@ -144,7 +145,7 @@ def _ppr_fit(
         params=params,
         beta=-log_rr,
         rr=math.exp(log_rr),
-        ci_beta=ci if ci is not None else ConfidenceInterval(math.nan, math.nan, level),
+        ci_beta=ConfidenceInterval(-log_rr - half, -log_rr + half, level),
         converged=converged,
         loglik=loglik,
         reason=reason,
@@ -239,36 +240,36 @@ def _profile(units: _Units, alpha: np.ndarray, lanes: np.ndarray) -> tuple[np.nd
     return w.reshape(-1, 2), dl.reshape(-1, 2)
 
 
-def _brentq(f, a, b, xtol: float, rtol: float = 4 * np.finfo(float).eps, maxiter: int = 100):
+def _brentq(f, a, b, fa, fb, xtol: float, rtol: float = 4 * np.finfo(float).eps, maxiter: int = 100):
     """Roots of f in the brackets [a, b] by Brent's method (Brent 1973, ch. 4).
 
-    ``a`` and ``b`` are floats, and f maps a float to a float; or they are
-    arrays, one bracket per lane, and ``f(x, lanes)`` gives the values at
-    the points x of the lanes ``lanes`` (ascending indices). The lanes run
-    in lockstep, each step a masked array update of the lanes not yet
-    converged, with one call of f for all of them. Every lane follows the
-    common C implementation step for step (the bracket swap, the
-    interpolate/extrapolate test, the ``delta`` step), so it returns the
-    same float as that implementation for the same f, bracket and
-    tolerances; the tests hold it to that. Raises ValueError when f returns
-    NaN or f(a) and f(b) have the same sign, and RuntimeError when
-    ``maxiter`` steps do not reach the tolerance 2*delta.
+    ``a``, ``b``, ``fa`` and ``fb`` are arrays with one entry per lane:
+    the bracket and the values of f at its ends, which the caller already
+    holds. ``f(x, lanes)`` gives the values at the points x of the lanes
+    ``lanes`` (ascending indices). The lanes run in lockstep, each step a
+    masked array update of the lanes not yet converged, with one call of f
+    for all of them. Every lane follows the common C implementation step
+    for step (the bracket swap, the interpolate/extrapolate test, the
+    ``delta`` step), so it returns the same float as that implementation
+    for the same f, bracket and tolerances; the tests hold it to that.
+    Raises ValueError when a value of f is NaN or fa and fb have the same
+    sign, and RuntimeError when ``maxiter`` steps do not reach the
+    tolerance 2*delta.
     """
-    one = np.ndim(a) == 0
 
-    def fx(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        y = np.array([f(float(x[0]))]) if one else np.asarray(f(x, lanes), dtype=float)
+    def checked(x: np.ndarray, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
         if np.isnan(y).any():
             raise ValueError(f"the function value at x={x[np.isnan(y)][0]} is NaN")
         return y
 
-    xpre, xcur = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
-    all_lanes = np.arange(xcur.shape[0])
-    fpre, fcur = fx(xpre, all_lanes), fx(xcur, all_lanes)
+    xpre, xcur = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    fpre, fcur = checked(xpre, fa), checked(xcur, fb)
     root = np.where(fpre == 0.0, xpre, xcur)
     running = (fpre != 0.0) & (fcur != 0.0)
     if np.any(running & ((fpre < 0.0) == (fcur < 0.0))):
         raise ValueError("f(a) and f(b) must have different signs")
+    all_lanes = np.arange(xcur.shape[0])
     xblk = fblk = spre = scur = np.zeros_like(xcur)
     # converged lanes keep stepping, unevaluated, until every lane is done
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -298,10 +299,10 @@ def _brentq(f, a, b, xtol: float, rtol: float = 4 * np.finfo(float).eps, maxiter
             xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
             lanes = all_lanes[running]
             fcur = fcur.copy()
-            fcur[lanes] = fx(xcur[lanes], lanes)
+            fcur[lanes] = checked(xcur[lanes], f(xcur[lanes], lanes))
         else:
             raise RuntimeError(f"brentq did not converge after {maxiter} iterations, value is {xcur[running][0]}")
-    return float(root[0]) if one else root
+    return root
 
 
 def _solve_log_alpha(units: _Units) -> np.ndarray:
@@ -335,12 +336,9 @@ def _solve_log_alpha(units: _Units) -> np.ndarray:
     log_alpha = np.where(unbounded, math.nan, hi)
     bracketed = every[~unbounded & (f_hi != 0.0)]
     if bracketed.shape[0]:
-        log_alpha[bracketed] = _brentq(
-            lambda x, lanes: dprofile(x, bracketed[lanes]),
-            np.minimum(lo, hi)[bracketed],
-            np.maximum(lo, hi)[bracketed],
-            xtol=1e-12,
-        )
+        # each bracket runs from its lower end, with the values the search holds
+        ends = np.where(lo < hi, [lo, hi, f_lo, f_hi], [hi, lo, f_hi, f_lo])[:, bracketed]
+        log_alpha[bracketed] = _brentq(lambda x, lanes: dprofile(x, bracketed[lanes]), *ends, xtol=1e-12)
     return log_alpha
 
 
@@ -424,9 +422,7 @@ def fit_ppr_batch(datasets: Sequence[Dataset], level: float = 0.95) -> list[PprF
         if on_bound[k]:
             fits[i] = _ppr_fit(params, loglik, level, True, ci_reason="estimate at support boundary")
             continue
-        beta = -params.alpha * math.log(params.theta1 / params.theta0)
-        half = z * math.sqrt(var_beta[k])
-        fits[i] = _ppr_fit(params, loglik, level, True, ci=ConfidenceInterval(beta - half, beta + half, level))
+        fits[i] = _ppr_fit(params, loglik, level, True, half=z * math.sqrt(var_beta[k]))
     return fits
 
 

@@ -101,16 +101,24 @@ def build_report(result: NpprResult, bootstrap: BootstrapResult | None) -> Analy
     )
 
 
-def _jsonable(x: float):
-    return None if x is None or (isinstance(x, float) and math.isnan(x)) else x
+def _finite(x):
+    """x, or None (JSON null) where it is NaN or infinite."""
+    return x if math.isfinite(x) else None
+
+
+def _csv_cell(v):
+    """A CSV cell: a float as its repr, empty where it is NaN; anything else as is."""
+    if isinstance(v, float):
+        return "" if math.isnan(v) else repr(float(v))
+    return v
 
 
 def _ci_to_dict(ci: ConfidenceInterval | None):
     if ci is None:
         return None
     return {
-        "lower": _jsonable(ci.lower),
-        "upper": _jsonable(ci.upper),
+        "lower": _finite(ci.lower),
+        "upper": _finite(ci.upper),
         "level": ci.level,
         "n_effective": ci.n_effective,
     }
@@ -136,7 +144,7 @@ def report_to_json(report: AnalysisReport) -> str:
         "rd_nnt_series": {
             "times": [float(t) for t in rd.times],
             "rd": [float(v) for v in rd.rd],
-            "nnt": [_jsonable(float(v)) for v in rd.nnt],
+            "nnt": [_finite(float(v)) for v in rd.nnt],
         },
         "pointwise_series": [[t, b, w] for t, b, w in report.pointwise_series],
     }
@@ -237,7 +245,7 @@ def emit_report(report: AnalysisReport, fmt: str = "table", stream=None) -> str:
         writer.writerow(["time", "rd", "nnt"])
         rd = report.rd_nnt_series
         for t, r, nnt in zip(rd.times, rd.rd, rd.nnt):
-            writer.writerow([repr(float(t)), repr(float(r)), "" if math.isnan(nnt) else repr(float(nnt))])
+            writer.writerow([repr(float(t)), repr(float(r)), _csv_cell(nnt)])
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown format {fmt!r}")

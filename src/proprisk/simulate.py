@@ -156,24 +156,22 @@ def calibrate_censoring(model: Model, params: ModelParams, target_rate: float) -
     P(C < T) decreases monotonically from 1 (c_max -> 0) to 0, so the root
     is bracketed by doubling and solved by Brent's method; the achieved
     probability matches the target far inside the 1e-4 tolerance. Raises
-    ValueError for a target outside (0, 1) or a non-positive parameter.
+    ValueError for a target outside (0, 1), a non-positive parameter, or a
+    target that no c_max up to 1e12 reaches.
     """
     if not 0.0 < target_rate < 1.0:
         raise ValueError("target_rate must be in (0, 1)")
     _check_params(params)
-    lo, hi = 1e-8, 1.0
-    while censoring_probability(model, params, hi) > target_rate:
+    excess = lambda c: censoring_probability(model, params, c) - target_rate
+    hi = 1.0
+    while (f_hi := excess(hi)) > 0.0:
         hi *= 2.0
         if hi > 1e12:
             raise ValueError("censoring target unreachable")
-    c_max = _brentq(
-        lambda c: censoring_probability(model, params, c) - target_rate,
-        lo,
-        hi,
-        xtol=1e-9,
-        rtol=1e-12,
-    )
-    return float(c_max)
+    # one lane: the bracket [1e-8, hi] and the values at its ends
+    ends = np.array([[1e-8], [hi], [excess(1e-8)], [f_hi]])
+    c_max = _brentq(lambda c, lanes: np.array([excess(float(c[0]))]), *ends, xtol=1e-9, rtol=1e-12)
+    return float(c_max[0])
 
 
 def make_scenario(

@@ -215,6 +215,9 @@ def _grid_file(tmp_path, kind):
         path.write_text(json.dumps([dict(obj, censor_rate=0.0)]))
     elif kind == "nan_effect":
         path.write_text(json.dumps([dict(obj, effect_beta=float("nan"))]))
+    elif kind == "censoring_unreachable":
+        del obj["censor_cmax"]
+        path.write_text(json.dumps([dict(obj, params={"alpha": 1.0, "theta1": 1e-13, "theta0": 1e-13})]))
     return str(path)
 
 
@@ -230,6 +233,7 @@ BAD_GRID_KINDS = [
     "censor_rate_above_one",
     "censor_rate_zero",
     "nan_effect",
+    "censoring_unreachable",
 ]
 
 

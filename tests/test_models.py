@@ -289,6 +289,34 @@ class TestFitPprBatch:
     def test_empty_batch(self):
         assert models.fit_ppr_batch([]) == []
 
+    @pytest.mark.parametrize("effect, rate, n, n_lanes", [(0.5, 0.3, 500, 40), (0.0, 0.7, 50, 39)])
+    def test_each_lane_repeats_only_its_final_profile(self, monkeypatch, effect, rate, n, n_lanes):
+        # Brent starts from the values the bracket search already holds, so the
+        # one point a lane evaluates twice is its root, profiled once more for w
+        pairs = []
+        real = models._profile
+
+        def recording(units, alpha, lanes):
+            pairs.extend(zip(lanes.tolist(), alpha.tolist()))
+            return real(units, alpha, lanes)
+
+        monkeypatch.setattr(models, "_profile", recording)
+        models.fit_ppr_batch([_sim(effect, rate, n, seed=20240801, rep=rep) for rep in range(40)])
+        by_lane = {}
+        for lane, alpha in pairs:
+            by_lane.setdefault(lane, []).append(alpha)
+        assert len(by_lane) == n_lanes
+        for alphas in by_lane.values():
+            assert len(alphas) - len(set(alphas)) == 1
+            assert alphas.count(alphas[-1]) == 2
+
+
+def _one_lane_brentq(f, a, b, **kw):
+    """The package's Brent root of the scalar function f on [a, b]: one lane
+    started from f(a) and f(b)."""
+    ends = np.array([[a], [b], [f(a)], [f(b)]])
+    return float(models._brentq(lambda x, lanes: np.array([f(float(x[0]))]), *ends, **kw)[0])
+
 
 class TestBrentq:
     """The package's Brent root against scipy's brentq: the same float."""
@@ -309,8 +337,8 @@ class TestBrentq:
         from scipy import optimize
 
         f, a, b = self.CASES[case]
-        assert models._brentq(f, a, b, **tol) == optimize.brentq(f, a, b, **tol)
-        assert models._brentq(f, b, a, **tol) == optimize.brentq(f, b, a, **tol)
+        assert _one_lane_brentq(f, a, b, **tol) == optimize.brentq(f, a, b, **tol)
+        assert _one_lane_brentq(f, b, a, **tol) == optimize.brentq(f, b, a, **tol)
 
     @pytest.mark.parametrize("effect, rate, n", [(0.5, 0.3, 500), (0.0, 0.7, 50)])
     def test_matches_scipy_on_fit_ppr_profile(self, monkeypatch, effect, rate, n):
@@ -320,9 +348,9 @@ class TestBrentq:
         calls = []
         real = models._brentq
 
-        def recording(f, a, b, **kw):
-            root = real(f, a, b, **kw)
-            calls.append((f, a, b, kw, root))
+        def recording(f, a, b, fa, fb, **kw):
+            root = real(f, a, b, fa, fb, **kw)
+            calls.append((f, a, b, fa, fb, kw, root))
             return root
 
         monkeypatch.setattr(models, "_brentq", recording)
@@ -330,27 +358,32 @@ class TestBrentq:
         for rep in range(20):
             fit_ppr(proprisk.simulate_dataset(sc, rep))
         models.fit_ppr_batch([proprisk.simulate_dataset(sc, rep) for rep in range(20, 40)])
-        lanes = [(f, a[i], b[i], kw, root[i], i) for f, a, b, kw, root in calls for i in range(len(a))]
+        lanes = [
+            (f, a[i], b[i], fa[i], fb[i], kw, root[i], i)
+            for f, a, b, fa, fb, kw, root in calls
+            for i in range(len(a))
+        ]
         assert len(calls) >= 16 and len(lanes) >= 30
-        for f, a, b, kw, root, i in lanes:
+        for f, a, b, fa, fb, kw, root, i in lanes:
             # one lane's scalar function: the lane evaluated alone
             lane = lambda x: float(f(np.array([x]), np.array([i]))[0])
+            assert fa == lane(a) and fb == lane(b)
             assert root == optimize.brentq(lane, a, b, **kw)
 
     def test_nan_raises(self):
         # NaN at the bracket's end, and at the first interpolated point 0.5
         with pytest.raises(ValueError, match="NaN"):
-            models._brentq(lambda x: math.nan if x > 0.9 else x - 0.7, 0.0, 1.0, xtol=1e-12)
+            _one_lane_brentq(lambda x: math.nan if x > 0.9 else x - 0.7, 0.0, 1.0, xtol=1e-12)
         with pytest.raises(ValueError, match="NaN"):
-            models._brentq(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, xtol=1e-12)
+            _one_lane_brentq(lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, xtol=1e-12)
 
     def test_bracket_without_sign_change_rejected(self):
         with pytest.raises(ValueError, match="different signs"):
-            models._brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+            _one_lane_brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
 
     def test_exact_root_at_an_end(self):
-        assert models._brentq(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12) == 1.0
-        assert models._brentq(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-12) == 3.0
+        assert _one_lane_brentq(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12) == 1.0
+        assert _one_lane_brentq(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-12) == 3.0
 
     def test_maxiter_raises(self):
         from scipy import optimize
@@ -359,7 +392,7 @@ class TestBrentq:
         with pytest.raises(RuntimeError):
             optimize.brentq(f, 0.0, 1.0, xtol=1e-12, maxiter=2)
         with pytest.raises(RuntimeError):
-            models._brentq(f, 0.0, 1.0, xtol=1e-12, maxiter=2)
+            _one_lane_brentq(f, 0.0, 1.0, xtol=1e-12, maxiter=2)
 
 
 class TestCoxTwoGroup:

@@ -103,6 +103,11 @@ class TestCalibration:
         with pytest.raises(ValueError):
             pr.calibrate_censoring(Model.PPR_EU, standard_params(Model.PPR_EU, 0.0), 1.5)
 
+    def test_unreachable_target(self):
+        # support end 1/theta = 1e13: every c_max up to 1e12 censors about 95%
+        with pytest.raises(ValueError, match="censoring target unreachable"):
+            pr.calibrate_censoring(Model.PPR_EU, pr.EuParams(1.0, 1e-13, 1e-13), 0.3)
+
     @pytest.mark.parametrize("params", [
         pr.EuParams(-1.0, 0.005, 0.009),
         pr.EuParams(0.859, 0.0, 0.009),
