@@ -35,11 +35,9 @@ from .nppr import (
     risk_difference_curve,
 )
 from .reporting import (
-    AnalysisReport,
     build_report,
     emit_report,
     read_dataset_csv,
-    report_from_json,
     report_to_json,
     write_dataset_csv,
 )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from pathlib import Path
@@ -22,7 +21,15 @@ from .bootstrap import BootstrapConfig, percentile_bootstrap
 from .errors import EstimationError, ValidationError
 from .models import cox_two_group, fit_ppr
 from .nppr import nppr_fit
-from .reporting import _csv_cell, _finite, build_report, emit_report, read_dataset_csv, write_dataset_csv
+from .reporting import (
+    _csv_cell,
+    _finite,
+    build_report,
+    emit_report,
+    read_dataset_csv,
+    report_to_json,
+    write_dataset_csv,
+)
 from .simulate import default_grid, load_grid, reseed, simulate_dataset
 from .study import GRID_COLUMNS, run_scenario, summarize_grid
 
@@ -45,7 +52,7 @@ def _cmd_fit(args) -> int:
         boot = percentile_bootstrap(
             data, BootstrapConfig(n_resamples=args.bootstrap, level=args.level, seed=args.seed)
         )
-    emit_report(build_report(result, boot), args.format, sys.stdout)
+    sys.stdout.write(emit_report(build_report(result, boot), args.format))
     return EXIT_OK
 
 
@@ -62,11 +69,6 @@ def _check_reps_seed(args) -> None:
 
 def _ci_dict(ci):
     return {"lower": ci.lower, "upper": ci.upper, "level": ci.level}
-
-
-def _dump_json(payload) -> None:
-    json.dump(payload, sys.stdout, indent=1, allow_nan=False)
-    sys.stdout.write("\n")
 
 
 def _cmd_ppr_fit(args) -> int:
@@ -86,7 +88,7 @@ def _cmd_ppr_fit(args) -> int:
         "reason": fit.reason,
         "ci_reason": fit.ci_reason,
     }
-    _dump_json(payload)
+    print(report_to_json(payload))
     return EXIT_OK if fit.converged else EXIT_CONVERGENCE
 
 
@@ -100,7 +102,7 @@ def _cmd_cox(args) -> int:
         "converged": fit.converged,
         "reason": fit.reason,
     }
-    _dump_json(payload)
+    print(report_to_json(payload))
     return EXIT_OK if fit.converged else EXIT_CONVERGENCE
 
 
@@ -155,24 +157,21 @@ def _cmd_plotdata(args) -> int:
     writer = csv.writer(sys.stdout)
     if args.series == "cdf":
         writer.writerow(["time", "cdf_treatment", "cdf_control"])
-        for t, (c0, c1) in zip(result.event_times, result.cdf):
-            writer.writerow([repr(float(t)), repr(float(c1)), repr(float(c0))])
+        writer.writerows(zip(result.event_times.tolist(), result.cdf[:, 1].tolist(), result.cdf[:, 0].tolist()))
         return EXIT_OK
 
-    report = build_report(result, None)
+    # columns of the fit report; csv.writer writes None as an empty cell
+    doc = build_report(result, None)
+    pointwise, rd = doc["pointwise_series"], doc["rd_nnt_series"]
     if args.series == "beta_t":
         writer.writerow(["time", "beta_t"])
-        for t, b, _ in report.pointwise_series:
-            writer.writerow([repr(t), repr(b)])
+        writer.writerows((t, b) for t, b, _ in pointwise)
     elif args.series == "weights":
         writer.writerow(["time", "weight"])
-        for t, _, w in report.pointwise_series:
-            writer.writerow([repr(t), repr(w)])
+        writer.writerows((t, w) for t, _, w in pointwise)
     else:  # nnt
         writer.writerow(["time", "rd", "nnt"])
-        rd = report.rd_nnt_series
-        for t, r, nnt in zip(rd.times, rd.rd, rd.nnt):
-            writer.writerow([repr(float(t)), repr(float(r)), _csv_cell(nnt)])
+        writer.writerows(zip(rd["times"], rd["rd"], rd["nnt"]))
     return EXIT_OK
 
 

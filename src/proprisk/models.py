@@ -21,6 +21,8 @@ import numpy as np
 
 from .survival import ConfidenceInterval, Dataset, event_grid, events_at_risk
 
+LEVEL = 0.95  # confidence level of the Wald intervals of the EU and Cox fits
+
 
 @dataclass(frozen=True)
 class EuParams:
@@ -129,7 +131,6 @@ class PprFit:
 def _ppr_fit(
     params: EuParams,
     loglik: float,
-    level: float,
     converged: bool,
     reason: str = "",
     half: float = math.nan,
@@ -145,7 +146,7 @@ def _ppr_fit(
         params=params,
         beta=-log_rr,
         rr=math.exp(log_rr),
-        ci_beta=ConfidenceInterval(-log_rr - half, -log_rr + half, level),
+        ci_beta=ConfidenceInterval(-log_rr - half, -log_rr + half, LEVEL),
         converged=converged,
         loglik=loglik,
         reason=reason,
@@ -362,7 +363,7 @@ def _beta_variance(units: _Units, alpha: np.ndarray, w: np.ndarray, lanes: np.nd
     return grad[:, 0] * sol[:, 0] + grad[:, 1] * sol[:, 1] + grad[:, 2] * sol[:, 2]
 
 
-def fit_ppr_batch(datasets: Sequence[Dataset], level: float = 0.95) -> list[PprFit]:
+def fit_ppr_batch(datasets: Sequence[Dataset]) -> list[PprFit]:
     """:func:`fit_ppr` of each dataset, the fits run in lockstep.
 
     Each dataset is a lane. The per-group Newton, the doubling bracket in
@@ -378,14 +379,14 @@ def fit_ppr_batch(datasets: Sequence[Dataset], level: float = 0.95) -> list[PprF
         data = data.take(np.lexsort((data.status, data.group, data.time)))
         (t1, s1), (t0, s0) = data.group_arrays(1), data.group_arrays(0)
         if not (t1.size and t0.size):
-            fits[i] = _ppr_fit(EuParams(1.0, 1.0, 1.0), math.nan, level, False, "a group is empty")
+            fits[i] = _ppr_fit(EuParams(1.0, 1.0, 1.0), math.nan, False, "a group is empty")
             continue
         bounds = (1.0 / float(t1.max()), 1.0 / float(t0.max()))
         start = EuParams(1.0, 0.9 * bounds[0], 0.9 * bounds[1])
         events = (np.count_nonzero(s1 == 1), np.count_nonzero(s0 == 1))
         if not all(events):
             reason = "a group has no events" if any(events) else "no events"
-            fits[i] = _ppr_fit(start, math.nan, level, False, reason)
+            fits[i] = _ppr_fit(start, math.nan, False, reason)
             continue
         lanes.append((i, data, start, bounds, math.log(float(t1.max() / t0.max()))))
         for t, s, d in ((t1, s1, events[0]), (t0, s0, events[1])):
@@ -412,21 +413,21 @@ def fit_ppr_batch(datasets: Sequence[Dataset], level: float = 0.95) -> list[PprF
     log_ratio = np.array([lane[4] for lane in lanes])[interior]
     var_beta[interior] = _beta_variance(units, alpha[interior], w[interior], interior, log_ratio)
 
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + LEVEL / 2.0)
     for k, (i, data, start, _, _) in enumerate(lanes):
         if math.isnan(log_alpha[k]):
-            fits[i] = _ppr_fit(start, math.nan, level, False, "likelihood still increasing as alpha grows")
+            fits[i] = _ppr_fit(start, math.nan, False, "likelihood still increasing as alpha grows")
             continue
         params = EuParams(float(alpha[k]), float(theta[k, 0]), float(theta[k, 1]))
         loglik = eu_log_likelihood(data, params)
         if on_bound[k]:
-            fits[i] = _ppr_fit(params, loglik, level, True, ci_reason="estimate at support boundary")
+            fits[i] = _ppr_fit(params, loglik, True, ci_reason="estimate at support boundary")
             continue
-        fits[i] = _ppr_fit(params, loglik, level, True, half=z * math.sqrt(var_beta[k]))
+        fits[i] = _ppr_fit(params, loglik, True, half=z * math.sqrt(var_beta[k]))
     return fits
 
 
-def fit_ppr(data: Dataset, level: float = 0.95) -> PprFit:
+def fit_ppr(data: Dataset) -> PprFit:
     """Exact maximum-likelihood fit of the EU model by profile likelihood.
 
     With w_g = alpha*log(theta_g*max(t_g)) the log-likelihood is jointly
@@ -451,7 +452,7 @@ def fit_ppr(data: Dataset, level: float = 0.95) -> PprFit:
     This is a batch of one: :func:`fit_ppr_batch` runs many datasets' fits
     in lockstep, each lane bit-identical to this call on its dataset.
     """
-    return fit_ppr_batch([data], level)[0]
+    return fit_ppr_batch([data])[0]
 
 
 @dataclass(frozen=True)
@@ -463,7 +464,7 @@ class CoxFit:
     reason: str = ""
 
 
-def cox_two_group(data: Dataset, level: float = 0.95) -> CoxFit:
+def cox_two_group(data: Dataset) -> CoxFit:
     """Cox partial-likelihood fit of the single group indicator.
 
     Newton iteration with Breslow tie handling; Wald interval from the
@@ -475,7 +476,7 @@ def cox_two_group(data: Dataset, level: float = 0.95) -> CoxFit:
     d, d1 = events.sum(axis=1), events[:, 1]
     n_at, n1_at = at_risk.sum(axis=1), at_risk[:, 1]
     if d.size == 0 or np.sum(d1) == 0 or np.sum(d1) == np.sum(d):
-        return CoxFit(math.nan, math.nan, ConfidenceInterval(math.nan, math.nan, level), False, "a group has no events")
+        return CoxFit(math.nan, math.nan, ConfidenceInterval(math.nan, math.nan, LEVEL), False, "a group has no events")
 
     n0_at = n_at - n1_at
     b = 0.0
@@ -485,17 +486,17 @@ def cox_two_group(data: Dataset, level: float = 0.95) -> CoxFit:
         score = float(np.sum(d1 - d * p))
         info = float(np.sum(d * p * (1.0 - p)))
         if info <= 0 or not math.isfinite(info):
-            return CoxFit(b, math.exp(b), ConfidenceInterval(math.nan, math.nan, level), False, "singular information")
+            return CoxFit(b, math.exp(b), ConfidenceInterval(math.nan, math.nan, LEVEL), False, "singular information")
         step = score / info
         b += step
         if abs(b) > 30:
-            return CoxFit(b, math.exp(b), ConfidenceInterval(math.nan, math.nan, level), False, "monotone likelihood")
+            return CoxFit(b, math.exp(b), ConfidenceInterval(math.nan, math.nan, LEVEL), False, "monotone likelihood")
         if abs(step) < 1e-12:
             break
     else:
-        return CoxFit(b, math.exp(b), ConfidenceInterval(math.nan, math.nan, level), False, "did not converge")
+        return CoxFit(b, math.exp(b), ConfidenceInterval(math.nan, math.nan, LEVEL), False, "did not converge")
 
     se = 1.0 / math.sqrt(info)
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    ci = ConfidenceInterval(math.exp(b - z * se), math.exp(b + z * se), level)
+    z = NormalDist().inv_cdf(0.5 + LEVEL / 2.0)
+    ci = ConfidenceInterval(math.exp(b - z * se), math.exp(b + z * se), LEVEL)
     return CoxFit(log_hr=b, hr=math.exp(b), ci_hr=ci, converged=True)

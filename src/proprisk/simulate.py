@@ -157,7 +157,7 @@ def calibrate_censoring(model: Model, params: ModelParams, target_rate: float) -
     is bracketed by doubling and solved by Brent's method; the achieved
     probability matches the target far inside the 1e-4 tolerance. Raises
     ValueError for a target outside (0, 1), a non-positive parameter, or a
-    target that no c_max up to 1e12 reaches.
+    target that no c_max in [1e-8, 1e12] reaches.
     """
     if not 0.0 < target_rate < 1.0:
         raise ValueError("target_rate must be in (0, 1)")
@@ -168,8 +168,10 @@ def calibrate_censoring(model: Model, params: ModelParams, target_rate: float) -
         hi *= 2.0
         if hi > 1e12:
             raise ValueError("censoring target unreachable")
+    if (f_lo := excess(1e-8)) < 0.0:
+        raise ValueError("censoring target unreachable")
     # one lane: the bracket [1e-8, hi] and the values at its ends
-    ends = np.array([[1e-8], [hi], [excess(1e-8)], [f_hi]])
+    ends = np.array([[1e-8], [hi], [f_lo], [f_hi]])
     c_max = _brentq(lambda c, lanes: np.array([excess(float(c[0]))]), *ends, xtol=1e-9, rtol=1e-12)
     return float(c_max[0])
 

@@ -2,12 +2,13 @@ import csv
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 import proprisk as pr
 from proprisk.cli import main
-from proprisk.reporting import report_from_json, write_dataset_csv
+from proprisk.reporting import write_dataset_csv
 
 
 @pytest.fixture()
@@ -30,9 +31,9 @@ class TestFit:
         code, out = run_cli("fit", "--data", data_csv, "--bootstrap", "30", "--seed", "1",
                             "--format", "structured")
         assert code == 0
-        report = report_from_json(out)
-        assert report.ci_beta is not None
-        assert report.ci_beta.level == 0.95
+        report = json.loads(out)
+        assert report["ci_beta"] is not None
+        assert report["ci_beta"]["level"] == 0.95
 
     def test_table_default(self, data_csv):
         code, out = run_cli("fit", "--data", data_csv, "--bootstrap", "0")
@@ -215,6 +216,10 @@ def _grid_file(tmp_path, kind):
         path.write_text(json.dumps([dict(obj, censor_rate=0.0)]))
     elif kind == "nan_effect":
         path.write_text(json.dumps([dict(obj, effect_beta=float("nan"))]))
+    elif kind == "censoring_above_floor":
+        # even c_max = 1e-8 censors only 1 - 1.3e-9 of this cell's subjects
+        del obj["censor_cmax"]
+        path.write_text(json.dumps([dict(obj, censor_rate=0.999999999999)]))
     elif kind == "censoring_unreachable":
         del obj["censor_cmax"]
         path.write_text(json.dumps([dict(obj, params={"alpha": 1.0, "theta1": 1e-13, "theta0": 1e-13})]))
@@ -234,6 +239,7 @@ BAD_GRID_KINDS = [
     "censor_rate_zero",
     "nan_effect",
     "censoring_unreachable",
+    "censoring_above_floor",
 ]
 
 
@@ -348,6 +354,41 @@ class TestPlotData:
         assert rows[0] == header
         assert len(rows) > 2
         float(rows[1][0])  # parses as numbers
+
+    @pytest.mark.parametrize("which", ["trial", "equal_risk"])
+    def test_series_match_fit_report(self, tmp_path, which):
+        """plotdata's rows are columns of the fit report, in its delimited
+        and its structured form (equal risk: every NNT is null)."""
+        if which == "trial":
+            path = str(Path(pr.__file__).parent / "data" / "synthetic_trial.csv")
+        else:
+            path = str(tmp_path / "equal.csv")
+            write_dataset_csv(pr.validate_dataset(
+                [(t, s, g) for g in (1, 0) for t, s in [(1.0, 1), (2.0, 1), (3.0, 0)]]), path)
+        _, delimited = run_cli("fit", "--data", path, "--bootstrap", "0", "--format", "delimited")
+        _, structured = run_cli("fit", "--data", path, "--bootstrap", "0", "--format", "structured")
+        _, pointwise, rd_nnt = (list(csv.reader(io.StringIO(b))) for b in delimited.split("\n\n"))
+        plot = {}
+        for series in ("beta_t", "weights", "nnt"):
+            code, out = run_cli("plotdata", "--data", path, "--series", series)
+            assert code == 0
+            plot[series] = list(csv.reader(io.StringIO(out)))
+        assert plot["beta_t"] == [[t, b] for t, b, _ in pointwise]
+        assert plot["weights"] == [[t, w] for t, _, w in pointwise]
+        assert plot["nnt"] == rd_nnt
+
+        doc = json.loads(structured)
+        number = lambda cell: float(cell) if cell else None
+        assert [[float(t), float(b)] for t, b in plot["beta_t"][1:]] == [r[:2] for r in doc["pointwise_series"]]
+        assert [[float(t), float(w)] for t, w in plot["weights"][1:]] == [r[::2] for r in doc["pointwise_series"]]
+        rd = doc["rd_nnt_series"]
+        assert [[float(t), float(r), number(n)] for t, r, n in plot["nnt"][1:]] == [
+            list(row) for row in zip(rd["times"], rd["rd"], rd["nnt"])
+        ]
+        if which == "equal_risk":
+            assert rd["nnt"] == [None] * len(rd["times"]) and all(row[2] == "" for row in rd_nnt[1:])
+        else:
+            assert None not in rd["nnt"]
 
     def test_cdf_values_match_api(self, data_csv):
         data = pr.read_dataset_csv(data_csv)

@@ -268,12 +268,11 @@ class TestFitPprBatch:
         large = [_sim(0.5, 0.3, 500, seed=20240801, rep=rep) for rep in range(4)]
         return small[:6] + tiny[:2] + large + small[6:] + tiny[2:]
 
-    @pytest.mark.parametrize("level", [0.95, 0.9])
-    def test_every_lane_equals_its_single_fit(self, level):
+    def test_every_lane_equals_its_single_fit(self):
         data = self._datasets()
-        fits = models.fit_ppr_batch(data, level)
+        fits = models.fit_ppr_batch(data)
         # repr round-trips every float, NaN and the sign of zero included
-        assert [repr(f) for f in fits] == [repr(fit_ppr(d, level)) for d in data]
+        assert [repr(f) for f in fits] == [repr(fit_ppr(d)) for d in data]
         reasons = {f.reason for f in fits}
         assert {"no events", "a group has no events", "a group is empty"} <= reasons
         assert "likelihood still increasing as alpha grows" in reasons

@@ -108,6 +108,11 @@ class TestCalibration:
         with pytest.raises(ValueError, match="censoring target unreachable"):
             pr.calibrate_censoring(Model.PPR_EU, pr.EuParams(1.0, 1e-13, 1e-13), 0.3)
 
+    def test_target_above_the_lower_bracket_end(self):
+        # even c_max = 1e-8 censors less than this target
+        with pytest.raises(ValueError, match="censoring target unreachable"):
+            pr.calibrate_censoring(Model.PPR_EU, standard_params(Model.PPR_EU, 0.0), 0.999999999999)
+
     @pytest.mark.parametrize("params", [
         pr.EuParams(-1.0, 0.005, 0.009),
         pr.EuParams(0.859, 0.0, 0.009),
