@@ -113,10 +113,12 @@ def _cmd_simulate(args) -> int:
         raise ValidationError("scenario file must contain exactly one scenario")
     scenario = reseed(scenarios, args.seed)[0]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for rep in range(args.reps):
-        data = simulate_dataset(scenario, rep)
-        write_dataset_csv(data, out_dir / f"replicate_{rep:04d}.csv")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for rep in range(args.reps):
+            write_dataset_csv(simulate_dataset(scenario, rep), out_dir / f"replicate_{rep:04d}.csv")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.out}: {exc}") from None
     print(f"wrote {args.reps} dataset(s) to {out_dir}", file=sys.stderr)
     return EXIT_OK
 

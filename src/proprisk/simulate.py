@@ -8,9 +8,10 @@ C ~ Uniform(0, c_max); observed time is min(T, C) and status is 1 iff
 T <= C. One c_max per scenario, calibrated so that P(C < T) hits the target
 rate with T drawn from the equal-probability mixture of the two groups.
 
-Randomness: replicate r of a scenario draws from
+Randomness: replicate r of a scenario draws random((3, n)) from
 SeedSequence(scenario.seed, spawn_key=(r, 0)); replicates are reproducible
-independently of execution order.
+independently of execution order and of the batch simulate_replicates
+transforms them in (simulate_dataset is a batch of one).
 
 default_grid() builds the study's 90 cells at call time from EFFECTS,
 CENSOR_RATES, SAMPLE_SIZES and the parameter constants below. Grid files
@@ -77,12 +78,6 @@ class Scenario:
     n_participants: int
     censor_cmax: float
     seed: int = 0
-
-
-def _model_quantile(model: Model, params: ModelParams, group: int, u):
-    if model is Model.PPR_EU:
-        return eu_quantile(params, group, u)
-    return weibull_ph_quantile(params, group, u)
 
 
 def _check_params(params: ModelParams) -> None:
@@ -201,25 +196,29 @@ def make_scenario(
     )
 
 
-def simulate_dataset(scenario: Scenario, replicate_seed: int) -> Dataset:
-    """One simulated study; deterministic given (scenario.seed, replicate_seed)."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(scenario.seed, spawn_key=(replicate_seed, 0))
-    )
-    n = scenario.n_participants
-    u = rng.random((3, n))
-    group = (u[0] > 0.5).astype(np.int64)  # inverse transform of Bernoulli(1/2)
+def simulate_replicates(scenario: Scenario, reps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replicates ``reps`` as (time, status, group), each (len(reps), n)."""
+    u = np.empty((len(reps), 3, scenario.n_participants))
+    for i, rep in enumerate(reps):
+        np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(rep, 0))).random(out=u[i])
+    group = (u[:, 0] > 0.5).astype(np.int64)  # inverse transform of Bernoulli(1/2)
 
-    t_event = np.empty(n)
+    quantile = eu_quantile if scenario.model is Model.PPR_EU else weibull_ph_quantile
+    t_event = np.empty(group.shape)
     for g in (0, 1):
         mask = group == g
         if np.any(mask):
-            t_event[mask] = _model_quantile(scenario.model, scenario.params, g, u[1][mask])
+            # a boolean-mask copy, not a strided view: the same loop and bits as one replicate
+            t_event[mask] = quantile(scenario.params, g, u[:, 1][mask])
 
-    t_censor = scenario.censor_cmax * u[2]
+    t_censor = scenario.censor_cmax * u[:, 2]
     status = (t_event <= t_censor).astype(np.int64)
-    time = np.minimum(t_event, t_censor)
-    return Dataset.from_columns(time, status, group)
+    return np.minimum(t_event, t_censor), status, group
+
+
+def simulate_dataset(scenario: Scenario, replicate_seed: int) -> Dataset:
+    """One simulated study; deterministic given (scenario.seed, replicate_seed)."""
+    return Dataset.from_columns(*(col[0] for col in simulate_replicates(scenario, [replicate_seed])))
 
 
 # ---------------------------------------------------------------------------

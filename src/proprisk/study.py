@@ -23,11 +23,12 @@ carry a bias of about -0.034 that no estimator can remove.
 
 Computation: replicates are fitted in chunks of about CHUNK_ROWS data
 rows, which bounds the working set (about 1 MB), not the result. Each
-replicate is still drawn from its own stream by ``simulate_dataset``. The
-chunk's NPPR estimates come from one ``nppr.fit_tables`` call on the
-replicates' count tables, zero-padded to a common K; the EU competitor
-comes from ``models.fit_ppr_batch``, whose lanes run the profile-likelihood
-fit in lockstep, each bit-identical to ``fit_ppr`` on its replicate.
+replicate draws from its own stream; the rest is done once per chunk on
+(R, n) arrays (``simulate_replicates``, ``survival.cell_codes``). The
+NPPR estimates come from one ``nppr.fit_tables`` call on the replicates'
+count tables, zero-padded to a common K; the EU competitor and the
+coverage bootstrap read Datasets of row views. ``models.fit_ppr_batch``
+runs the EU lanes in lockstep, each bit-identical to ``fit_ppr``.
 tests/test_study.py checks each NPPR beta against ``nppr_fit`` to 1e-12,
 with the same failures, and one-replicate chunks against the default.
 
@@ -47,8 +48,8 @@ from .bootstrap import BootstrapConfig, percentile_bootstrap
 from .errors import EstimationError
 from .models import fit_ppr_batch
 from .nppr import fit_tables
-from .simulate import Model, Scenario, simulate_dataset
-from .survival import Dataset, event_grid
+from .simulate import Model, Scenario, simulate_replicates
+from .survival import Dataset, cell_codes
 
 PPR_EXCLUSION_THRESHOLD = 3.0
 # Data rows per chunk of replicates; bounds the working set, not the result.
@@ -78,16 +79,16 @@ def _mean(values) -> float:
     return float(np.mean(values)) if len(values) else math.nan
 
 
-def _nppr_betas(datasets: list[Dataset]) -> tuple[np.ndarray, np.ndarray]:
-    """The NPPR beta of each dataset and whether it exists (where it does
-    not, ``nppr_fit`` raises): one ``fit_tables`` call on the datasets'
-    count tables, zero-padded to a common K. An empty trailing bin is
+def _nppr_betas(time, status, group) -> tuple[np.ndarray, np.ndarray]:
+    """The NPPR beta of each row of the (R, n) arrays and whether it exists
+    (where it does not, ``nppr_fit`` raises): one ``fit_tables`` call on the
+    rows' count tables, zero-padded to a common K. An empty trailing bin is
     neutral in the kernel: a Kaplan-Meier product term of 1.0, a Greenwood
     term of 0.0 and no events."""
-    grids = [event_grid(data) for data in datasets]
-    width = max(grid.n_cells for grid in grids)
-    codes = np.concatenate([grid.cell + i * width for i, grid in enumerate(grids)])
-    fit = fit_tables(np.bincount(codes, minlength=len(grids) * width).reshape(len(grids), -1, 2, 2))
+    codes = cell_codes(time, status, group)
+    reps, width = codes.shape[0], (int(codes.max()) | 3) + 1  # the widest row's n_cells
+    codes += width * np.arange(reps)[:, None]
+    fit = fit_tables(np.bincount(codes.ravel(), minlength=reps * width).reshape(reps, -1, 2, 2))
     return fit.beta, fit.usable.any(axis=-1)
 
 
@@ -124,10 +125,11 @@ def run_scenario(
     chunk = max(1, CHUNK_ROWS // scenario.n_participants)
     for first in range(0, n_reps, chunk):
         reps = range(first, min(first + chunk, n_reps))
-        datasets = [simulate_dataset(scenario, rep) for rep in reps]
-        betas, fitted = _nppr_betas(datasets)
-        fits = fit_ppr_batch(datasets) if fit_competitor else [None] * len(reps)
-        for rep, data, beta, ok, fit in zip(reps, datasets, betas, fitted, fits):
+        cols = simulate_replicates(scenario, reps)
+        betas, fitted = _nppr_betas(*cols)
+        data = [Dataset.from_columns(*row) for row in zip(*cols)] if fit_competitor or with_coverage else None
+        fits = fit_ppr_batch(data) if fit_competitor else [None] * len(reps)
+        for i, (rep, beta, ok, fit) in enumerate(zip(reps, betas, fitted, fits)):
             if progress and rep and rep % 200 == 0:
                 print(f"  replicate {rep}/{n_reps}", file=sys.stderr)
             if ok:
@@ -135,7 +137,7 @@ def run_scenario(
                 if with_coverage:
                     cfg = replace(bootstrap_config, seed=_bootstrap_seed(scenario, rep))
                     try:
-                        ci = percentile_bootstrap(data, cfg).ci_beta
+                        ci = percentile_bootstrap(data[i], cfg).ci_beta
                         nppr_cover.append(float(ci.lower <= true_beta <= ci.upper))
                     except EstimationError:
                         pass

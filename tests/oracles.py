@@ -126,6 +126,37 @@ def nppr_scalar(time, status, group):
     return float(np.sum(w * -np.log(f[0][usable] / f[1][usable])) / np.sum(w))
 
 
+def simulate_oracle(scenario, replicate):
+    """(time, status, group) of one replicate, drawn and transformed on its
+    own: the reference for ``simulate_replicates``, which transforms a
+    whole chunk at once."""
+    from proprisk.models import eu_quantile, weibull_ph_quantile
+    from proprisk.simulate import Model
+
+    rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(replicate, 0)))
+    n = scenario.n_participants
+    u = rng.random((3, n))
+    group = (u[0] > 0.5).astype(np.int64)
+    quantile = eu_quantile if scenario.model is Model.PPR_EU else weibull_ph_quantile
+    t_event = np.empty(n)
+    for g in (0, 1):
+        mask = group == g
+        if np.any(mask):
+            t_event[mask] = quantile(scenario.params, g, u[1][mask])
+    t_censor = scenario.censor_cmax * u[2]
+    status = (t_event <= t_censor).astype(np.int64)
+    return np.minimum(t_event, t_censor), status, group
+
+
+def event_grid_oracle(time, status, group):
+    """(event_times, cell codes) of one dataset by sorting its distinct
+    event times and looking each row up with a right-sided searchsorted."""
+    time, status, group = np.asarray(time, dtype=float), np.asarray(status), np.asarray(group)
+    event_times = np.unique(time[status == 1])
+    bins = np.searchsorted(event_times, time, side="right")
+    return event_times, (bins * 2 + group) * 2 + status
+
+
 def _cox_counts(time, status, group):
     """(d, d1, n1, n0) at each distinct event time, each a recount over every row."""
     rows = list(zip(time, status, group))

@@ -279,6 +279,19 @@ class TestSimulateCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize("taken", ["out", "out/replicate_0000.csv"])
+    def test_unwritable_out_exit_code(self, tmp_path, taken, capsys):
+        # a file where the directory goes, or a directory where a CSV goes
+        path = _grid_file(tmp_path, "valid")
+        out = tmp_path / "out"
+        if taken == "out":
+            out.write_text("a file, not a directory\n")
+        else:
+            (tmp_path / taken).mkdir(parents=True)
+        code, _ = run_cli("simulate", "--scenario", path, "--reps", "1", "--seed", "1", "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
     def test_rejects_multi_scenario_file(self, tmp_path):
         from proprisk.simulate import scenario_to_dict
 

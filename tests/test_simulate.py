@@ -16,8 +16,11 @@ from proprisk.simulate import (
     reseed,
     scenario_from_dict,
     scenario_to_dict,
+    simulate_replicates,
     standard_params,
 )
+
+from oracles import simulate_oracle
 
 
 def _quad_censoring_probability(model, p, c):
@@ -217,16 +220,32 @@ class TestSimulateDataset:
         pv = stats.kstest(draws, lambda x: pr.weibull_ph_cdf(p, 1, x)).pvalue
         assert pv > 0.01
 
-    def test_status_is_event_indicator(self):
-        sc = pr.make_scenario(Model.PPR_EU, 0.5, 0.5, 300, seed=13)
+    @pytest.mark.parametrize("model", [Model.PPR_EU, Model.WEIBULL_PH])
+    def test_status_is_event_indicator(self, model):
+        sc = pr.make_scenario(model, 0.5, 0.5, 300, seed=13)
         d = pr.simulate_dataset(sc, 0)
         rng = np.random.default_rng(np.random.SeedSequence(sc.seed, spawn_key=(0, 0)))
         u = rng.random((3, 300))
         grp = (u[0] > 0.5).astype(int)
-        t = np.where(grp == 1, pr.eu_quantile(sc.params, 1, u[1]), pr.eu_quantile(sc.params, 0, u[1]))
+        quantile = pr.eu_quantile if model is Model.PPR_EU else pr.weibull_ph_quantile
+        t = np.where(grp == 1, quantile(sc.params, 1, u[1]), quantile(sc.params, 0, u[1]))
         c = sc.censor_cmax * u[2]
         np.testing.assert_array_equal(d.status, (t <= c).astype(int))
-        np.testing.assert_allclose(d.time, np.minimum(t, c))
+        np.testing.assert_array_equal(d.time, np.minimum(t, c))
+
+
+class TestSimulateReplicates:
+    """A chunk of replicates is simulated as one array; each row is the
+    replicate drawn and transformed on its own, byte for byte."""
+
+    @pytest.mark.parametrize("reps", [[0, 1, 2], [5, 2, 9]])
+    def test_rows_equal_per_replicate_oracle(self, reps):
+        for sc in reseed(default_grid(), 20240101):
+            cols = simulate_replicates(sc, reps)
+            for i, rep in enumerate(reps):
+                for got, want in zip(cols, simulate_oracle(sc, rep)):
+                    assert got.dtype == want.dtype
+                    assert got[i].tobytes() == want.tobytes()
 
 
 class TestGridSerialization:

@@ -1,12 +1,16 @@
+import csv
+import io
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import proprisk as pr
-from proprisk.simulate import Model
+from proprisk.simulate import Model, default_grid, reseed, simulate_replicates
 from proprisk import study
+from proprisk.reporting import _csv_cell
 from proprisk.study import GRID_COLUMNS, run_scenario, summarize_grid
 
 
@@ -91,8 +95,9 @@ class TestChunkedReplicates:
     @pytest.mark.parametrize("model, effect, rate, n, seed, reps", SCENARIOS)
     def test_nppr_betas_match_nppr_fit(self, model, effect, rate, n, seed, reps):
         sc = pr.make_scenario(model, effect, rate, n, seed=seed)
-        data = [pr.simulate_dataset(sc, rep) for rep in range(reps)]
-        betas, fitted = study._nppr_betas(data)
+        cols = simulate_replicates(sc, range(reps))
+        data = [pr.Dataset.from_columns(*row) for row in zip(*cols)]
+        betas, fitted = study._nppr_betas(*cols)
         failed = []
         for rep, d in enumerate(data):
             try:
@@ -117,6 +122,24 @@ class TestChunkedReplicates:
                 assert a == b
             else:
                 assert a == pytest.approx(b, abs=1e-12, nan_ok=True)
+
+
+class TestCommittedStudyTable:
+    """Two cells of the committed 1,000-replicate study table, rerun."""
+
+    TABLE = Path(__file__).resolve().parents[1] / "results" / "study_default.csv"
+
+    @pytest.mark.parametrize("key", [
+        ("ppr_eu", 0.5, 0.7, 50),
+        ("weibull_ph", -0.5, 0.5, 100),
+    ])
+    def test_rows_reproduce(self, key):
+        grid = reseed(default_grid(), 20240101)
+        sc = next(s for s in grid if (s.model.value, s.effect_beta, s.censor_rate, s.n_participants) == key)
+        row = summarize_grid([run_scenario(sc, 1000)])[0]
+        out = io.StringIO()
+        csv.writer(out).writerow([_csv_cell(row[c]) for c in GRID_COLUMNS])
+        assert out.getvalue().rstrip("\r\n") in self.TABLE.read_text().splitlines()
 
 
 class TestSummarizeGrid:

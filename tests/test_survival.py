@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from types import SimpleNamespace
 
 from proprisk import Dataset, ValidationError, kaplan_meier, validate_dataset
-from proprisk.survival import event_grid, events_at_risk
+from proprisk.survival import cell_codes, event_grid, events_at_risk
 
-from oracles import km_oracle
+from oracles import event_grid_oracle, km_oracle
 
 
 class TestValidateDataset:
@@ -238,3 +238,30 @@ def test_event_grid_counts_match_km(rows1, rows0):
             np.testing.assert_array_equal(at_risk[cols, g], [row[4] for row in expected])
             brute = [np.sum((sample.group == g) & (sample.time >= t)) for t in grid.event_times]
             np.testing.assert_array_equal(at_risk[:, g], brute)
+
+
+@st.composite
+def tied_batches(draw):
+    """A (R, n) batch of datasets on integer times 1..4: ties everywhere,
+    often all-censored rows, n down to 1."""
+    n = draw(st.integers(1, 10))
+    cells = st.lists(st.integers(1, 4), min_size=n, max_size=n)
+    flags = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    r = draw(st.integers(1, 4))
+    return tuple(np.array(draw(st.lists(x, min_size=r, max_size=r))) for x in (cells, flags, flags))
+
+
+@given(tied_batches())
+@example((np.array([[2, 2, 1]]), np.array([[0, 0, 0]]), np.array([[1, 0, 1]])))  # all censored
+@example((np.array([[3], [1]]), np.array([[1], [0]]), np.array([[0], [1]])))  # single rows
+@settings(max_examples=300, deadline=None)
+def test_cell_codes_match_searchsorted_oracle(batch):
+    time, status, group = batch
+    time = time.astype(float)
+    codes = cell_codes(time, status, group)
+    for i in range(time.shape[0]):
+        event_times, expected = event_grid_oracle(time[i], status[i], group[i])
+        grid = event_grid(Dataset.from_columns(time[i], status[i], group[i]))
+        np.testing.assert_array_equal(grid.event_times, event_times)
+        np.testing.assert_array_equal(grid.cell, expected)
+        np.testing.assert_array_equal(codes[i], expected)
