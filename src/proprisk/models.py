@@ -15,13 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .survival import ConfidenceInterval, Dataset, event_grid, events_at_risk
 
 LEVEL = 0.95  # confidence level of the Wald intervals of the EU and Cox fits
+Z = NormalDist().inv_cdf(0.5 + LEVEL / 2.0)  # their half-width in standard errors
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,14 @@ class PprFit:
         return math.isfinite(self.ci_beta.lower) and math.isfinite(self.ci_beta.upper)
 
 
+def _exp(x: float) -> float:
+    """math.exp, +inf where the result overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _ppr_fit(
     params: EuParams,
     loglik: float,
@@ -145,7 +154,7 @@ def _ppr_fit(
     return PprFit(
         params=params,
         beta=-log_rr,
-        rr=math.exp(log_rr),
+        rr=_exp(log_rr),
         ci_beta=ConfidenceInterval(-log_rr - half, -log_rr + half, LEVEL),
         converged=converged,
         loglik=loglik,
@@ -363,21 +372,22 @@ def _beta_variance(units: _Units, alpha: np.ndarray, w: np.ndarray, lanes: np.nd
     return grad[:, 0] * sol[:, 0] + grad[:, 1] * sol[:, 1] + grad[:, 2] * sol[:, 2]
 
 
-def fit_ppr_batch(datasets: Sequence[Dataset]) -> list[PprFit]:
-    """:func:`fit_ppr` of each dataset, the fits run in lockstep.
+def fit_ppr_batch(time, status, group) -> list[PprFit]:
+    """:func:`fit_ppr` of each row of the (R, n) arrays, the fits run in lockstep.
 
-    Each dataset is a lane. The per-group Newton, the doubling bracket in
-    log alpha and Brent's method are masked array steps over the lanes,
-    and every sum over a lane's rows is its own segment of a flat array, so
-    a lane's fit does not depend on the rest of the batch: it equals
-    ``fit_ppr`` on that dataset alone, bit for bit.
+    Each row is a lane. The per-group Newton, the doubling bracket in log
+    alpha and Brent's method are masked array steps over the lanes, and
+    every sum over a lane's rows is its own segment of a flat array, so a
+    lane's fit does not depend on the rest of the batch: it equals
+    ``fit_ppr`` on that row alone, bit for bit.
     """
-    fits: list[PprFit | None] = [None] * len(datasets)
+    # canonical row order makes each fit exactly invariant to its rows' order
+    order = np.lexsort((status, group, time), axis=-1)
+    time, status, group = (np.take_along_axis(np.asarray(c), order, axis=-1) for c in (time, status, group))
+    fits: list[PprFit | None] = [None] * time.shape[0]
     lanes, groups = [], []
-    for i, data in enumerate(datasets):
-        # canonical row order makes the fit exactly invariant to input permutation
-        data = data.take(np.lexsort((data.status, data.group, data.time)))
-        (t1, s1), (t0, s0) = data.group_arrays(1), data.group_arrays(0)
+    for i, (t, s, g) in enumerate(zip(time, status, group)):
+        (t1, s1), (t0, s0) = (t[g == 1], s[g == 1]), (t[g == 0], s[g == 0])
         if not (t1.size and t0.size):
             fits[i] = _ppr_fit(EuParams(1.0, 1.0, 1.0), math.nan, False, "a group is empty")
             continue
@@ -388,11 +398,12 @@ def fit_ppr_batch(datasets: Sequence[Dataset]) -> list[PprFit]:
             reason = "a group has no events" if any(events) else "no events"
             fits[i] = _ppr_fit(start, math.nan, False, reason)
             continue
-        lanes.append((i, data, start, bounds, math.log(float(t1.max() / t0.max()))))
-        for t, s, d in ((t1, s1, events[0]), (t0, s0, events[1])):
-            log_rel = np.log(t) - math.log(float(t.max()))
-            r = -log_rel[s == 0]
-            groups.append((d, float(log_rel[s == 1].sum()), r.min() if r.size else math.inf, r))
+        lanes.append((i, start, bounds, math.log(float(t1.max() / t0.max()))))
+        # kept per group: reduceat sums sequentially where .sum() is pairwise; np.log may differ from math.log
+        for tg, sg, d in ((t1, s1, events[0]), (t0, s0, events[1])):
+            log_rel = np.log(tg) - math.log(float(tg.max()))
+            r = -log_rel[sg == 0]
+            groups.append((d, float(log_rel[sg == 1].sum()), r.min() if r.size else math.inf, r))
     if not lanes:
         return fits
 
@@ -406,24 +417,22 @@ def fit_ppr_batch(datasets: Sequence[Dataset]) -> list[PprFit]:
     w = np.full((len(lanes), 2), math.nan)
     w[bounded] = _profile(units, alpha[bounded], bounded)[0]
     # exp(w/alpha) <= 1 keeps theta inside the support; w = 0 gives the bound exactly
-    theta = np.exp(w / alpha[:, None]) * np.array([lane[3] for lane in lanes])
+    theta = np.exp(w / alpha[:, None]) * np.array([lane[2] for lane in lanes])
     on_bound = np.any(w == 0.0, axis=1)
     interior = np.flatnonzero(~np.isnan(log_alpha) & ~on_bound)
     var_beta = np.full(len(lanes), math.nan)
-    log_ratio = np.array([lane[4] for lane in lanes])[interior]
+    log_ratio = np.array([lane[3] for lane in lanes])[interior]
     var_beta[interior] = _beta_variance(units, alpha[interior], w[interior], interior, log_ratio)
 
-    z = NormalDist().inv_cdf(0.5 + LEVEL / 2.0)
-    for k, (i, data, start, _, _) in enumerate(lanes):
+    for k, (i, start, _, _) in enumerate(lanes):
         if math.isnan(log_alpha[k]):
             fits[i] = _ppr_fit(start, math.nan, False, "likelihood still increasing as alpha grows")
             continue
         params = EuParams(float(alpha[k]), float(theta[k, 0]), float(theta[k, 1]))
-        loglik = eu_log_likelihood(data, params)
-        if on_bound[k]:
-            fits[i] = _ppr_fit(params, loglik, True, ci_reason="estimate at support boundary")
-            continue
-        fits[i] = _ppr_fit(params, loglik, True, half=z * math.sqrt(var_beta[k]))
+        loglik = eu_log_likelihood(Dataset.from_columns(time[i], status[i], group[i]), params)
+        # on the bound var_beta is NaN, and so is the half-width
+        reason = "estimate at support boundary" if on_bound[k] else ""
+        fits[i] = _ppr_fit(params, loglik, True, half=Z * math.sqrt(var_beta[k]), ci_reason=reason)
     return fits
 
 
@@ -449,10 +458,10 @@ def fit_ppr(data: Dataset) -> PprFit:
     interval is reported when a group's w_g is 0, i.e. its estimate sits on
     the support bound (the information is undefined there).
 
-    This is a batch of one: :func:`fit_ppr_batch` runs many datasets' fits
-    in lockstep, each lane bit-identical to this call on its dataset.
+    This is a batch of one: :func:`fit_ppr_batch` fits the rows of (R, n)
+    arrays in lockstep, each lane bit-identical to this call on its row.
     """
-    return fit_ppr_batch([data])[0]
+    return fit_ppr_batch(data.time[None], data.status[None], data.group[None])[0]
 
 
 @dataclass(frozen=True)
@@ -468,35 +477,45 @@ def cox_two_group(data: Dataset) -> CoxFit:
     """Cox partial-likelihood fit of the single group indicator.
 
     Newton iteration with Breslow tie handling; Wald interval from the
-    observed information. Monotone likelihoods (all of one group's events
-    before any of the other's in risk-set terms) do not converge and are
-    reported as such.
+    observed information. A step that lowers the partial likelihood by
+    more than rounding is halved until it does not. Monotone likelihoods
+    (all of one group's events before any of the other's in risk-set
+    terms) do not converge and are reported as such.
     """
     events, at_risk = events_at_risk(event_grid(data).table())
     d, d1 = events.sum(axis=1), events[:, 1]
     n_at, n1_at = at_risk.sum(axis=1), at_risk[:, 1]
+    no_ci = ConfidenceInterval(math.nan, math.nan, LEVEL)
     if d.size == 0 or np.sum(d1) == 0 or np.sum(d1) == np.sum(d):
-        return CoxFit(math.nan, math.nan, ConfidenceInterval(math.nan, math.nan, LEVEL), False, "a group has no events")
+        return CoxFit(math.nan, math.nan, no_ci, False, "a group has no events")
 
     n0_at = n_at - n1_at
+    with np.errstate(divide="ignore"):
+        log_n0, log_n1 = np.log(n0_at), np.log(n1_at)
+
+    def loglik(b: float) -> float:  # less a constant; finite at any finite b
+        return float(np.sum(d1 * b - d * np.logaddexp(log_n0, log_n1 + b)))
+
     b = 0.0
+    ll = loglik(b)
     for _ in range(60):
         w1 = n1_at * math.exp(b)
         p = w1 / (n0_at + w1)
         score = float(np.sum(d1 - d * p))
         info = float(np.sum(d * p * (1.0 - p)))
         if info <= 0 or not math.isfinite(info):
-            return CoxFit(b, math.exp(b), ConfidenceInterval(math.nan, math.nan, LEVEL), False, "singular information")
+            return CoxFit(b, _exp(b), no_ci, False, "singular information")
         step = score / info
-        b += step
+        while (ll_step := loglik(b + step)) < ll - 1e-12 * abs(ll):
+            step /= 2.0
+        b, ll = b + step, ll_step
         if abs(b) > 30:
-            return CoxFit(b, math.exp(b), ConfidenceInterval(math.nan, math.nan, LEVEL), False, "monotone likelihood")
+            return CoxFit(b, _exp(b), no_ci, False, "monotone likelihood")
         if abs(step) < 1e-12:
             break
     else:
-        return CoxFit(b, math.exp(b), ConfidenceInterval(math.nan, math.nan, LEVEL), False, "did not converge")
+        return CoxFit(b, _exp(b), no_ci, False, "did not converge")
 
     se = 1.0 / math.sqrt(info)
-    z = NormalDist().inv_cdf(0.5 + LEVEL / 2.0)
-    ci = ConfidenceInterval(math.exp(b - z * se), math.exp(b + z * se), LEVEL)
-    return CoxFit(log_hr=b, hr=math.exp(b), ci_hr=ci, converged=True)
+    ci = ConfidenceInterval(_exp(b - Z * se), _exp(b + Z * se), LEVEL)
+    return CoxFit(log_hr=b, hr=_exp(b), ci_hr=ci, converged=True)

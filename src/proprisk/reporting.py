@@ -37,6 +37,7 @@ def read_dataset_csv(path) -> Dataset:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     with fh:
         reader = csv.reader(fh)
+        fields, rows = None, []
         try:
             fields = next(reader, [])
             missing = [c for c in REQUIRED_COLUMNS if c not in fields]
@@ -46,7 +47,6 @@ def read_dataset_csv(path) -> Dataset:
             if repeated:
                 raise ValidationError(f"repeated column(s): {', '.join(repeated)}")
             cols = [fields.index(c) for c in REQUIRED_COLUMNS]
-            rows = []
             # blank lines are skipped, so row i is the i-th data record
             for i, rec in enumerate(filter(None, reader), start=1):
                 if len(rec) != len(fields):
@@ -54,6 +54,9 @@ def read_dataset_csv(path) -> Dataset:
                 rows.append([rec[j] for j in cols])
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            where = "the header" if fields is None else f"row {len(rows) + 1}"
+            raise ValidationError(f"{path}: {exc} at {where}") from None
     return validate_dataset(rows)
 
 

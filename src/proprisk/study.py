@@ -24,13 +24,14 @@ carry a bias of about -0.034 that no estimator can remove.
 Computation: replicates are fitted in chunks of about CHUNK_ROWS data
 rows, which bounds the working set (about 1 MB), not the result. Each
 replicate draws from its own stream; the rest is done once per chunk on
-(R, n) arrays (``simulate_replicates``, ``survival.cell_codes``). The
-NPPR estimates come from one ``nppr.fit_tables`` call on the replicates'
-count tables, zero-padded to a common K; the EU competitor and the
-coverage bootstrap read Datasets of row views. ``models.fit_ppr_batch``
-runs the EU lanes in lockstep, each bit-identical to ``fit_ppr``.
+its (R, n) arrays, which both fits read: one ``nppr.fit_tables`` call on
+the replicates' count tables, zero-padded to a common K (NaN where a
+replicate has no estimate), and ``models.fit_ppr_batch``, whose lanes are
+bit-identical to ``fit_ppr``. The metrics are computed once, after the
+last chunk; only the coverage bootstrap builds Datasets (row views).
 tests/test_study.py checks each NPPR beta against ``nppr_fit`` to 1e-12,
-with the same failures, and one-replicate chunks against the default.
+with NaN exactly where it raises, and one-replicate chunks against the
+default.
 
 The grid table (summarize_grid, and the CSV that ``proprisk study`` writes)
 has the columns GRID_COLUMNS: the scenario's model, effect, censoring rate
@@ -46,10 +47,10 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, percentile_bootstrap
 from .errors import EstimationError
-from .models import fit_ppr_batch
+from .models import PprFit, fit_ppr_batch
 from .nppr import fit_tables
 from .simulate import Model, Scenario, simulate_replicates
-from .survival import Dataset, cell_codes
+from .survival import Dataset, cell_codes, count_tables
 
 PPR_EXCLUSION_THRESHOLD = 3.0
 # Data rows per chunk of replicates; bounds the working set, not the result.
@@ -70,26 +71,18 @@ class ScenarioResult:
     coverage_ppr: float
 
 
-def _bootstrap_seed(scenario: Scenario, replicate: int) -> int:
-    ss = np.random.SeedSequence(scenario.seed, spawn_key=(replicate, 1))
-    return int(ss.generate_state(1)[0])
-
-
 def _mean(values) -> float:
     return float(np.mean(values)) if len(values) else math.nan
 
 
-def _nppr_betas(time, status, group) -> tuple[np.ndarray, np.ndarray]:
-    """The NPPR beta of each row of the (R, n) arrays and whether it exists
-    (where it does not, ``nppr_fit`` raises): one ``fit_tables`` call on the
-    rows' count tables, zero-padded to a common K. An empty trailing bin is
-    neutral in the kernel: a Kaplan-Meier product term of 1.0, a Greenwood
-    term of 0.0 and no events."""
+def _nppr_betas(time, status, group) -> np.ndarray:
+    """The NPPR beta of each row of the (R, n) arrays, NaN where ``nppr_fit``
+    raises: one ``fit_tables`` call on the rows' count tables, zero-padded to
+    a common K. An empty trailing bin is neutral in the kernel: a
+    Kaplan-Meier product term of 1.0, a Greenwood term of 0.0, no events."""
     codes = cell_codes(time, status, group)
-    reps, width = codes.shape[0], (int(codes.max()) | 3) + 1  # the widest row's n_cells
-    codes += width * np.arange(reps)[:, None]
-    fit = fit_tables(np.bincount(codes.ravel(), minlength=reps * width).reshape(reps, -1, 2, 2))
-    return fit.beta, fit.usable.any(axis=-1)
+    width = (int(codes.max()) | 3) + 1  # the widest row's n_cells
+    return fit_tables(count_tables(codes, width)).beta
 
 
 def run_scenario(
@@ -115,59 +108,48 @@ def run_scenario(
         fit_competitor = scenario.model is Model.PPR_EU
     true_beta = scenario.effect_beta
 
-    nppr_err: list[float] = []
-    ppr_err: list[float] = []
-    nppr_cover: list[float] = []
-    ppr_cover: list[float] = []
-    n_nppr_failed = 0
-    n_ppr_excluded = 0
-
+    nppr = np.empty(n_reps)
+    fits: list[PprFit] = []
+    nppr_cover: list[bool] = []
     chunk = max(1, CHUNK_ROWS // scenario.n_participants)
     for first in range(0, n_reps, chunk):
         reps = range(first, min(first + chunk, n_reps))
+        for rep in (r for r in reps if progress and r and r % 200 == 0):
+            print(f"  replicate {rep}/{n_reps}", file=sys.stderr)
         cols = simulate_replicates(scenario, reps)
-        betas, fitted = _nppr_betas(*cols)
-        data = [Dataset.from_columns(*row) for row in zip(*cols)] if fit_competitor or with_coverage else None
-        fits = fit_ppr_batch(data) if fit_competitor else [None] * len(reps)
-        for i, (rep, beta, ok, fit) in enumerate(zip(reps, betas, fitted, fits)):
-            if progress and rep and rep % 200 == 0:
-                print(f"  replicate {rep}/{n_reps}", file=sys.stderr)
-            if ok:
-                nppr_err.append(float(beta) - true_beta)
-                if with_coverage:
-                    cfg = replace(bootstrap_config, seed=_bootstrap_seed(scenario, rep))
-                    try:
-                        ci = percentile_bootstrap(data[i], cfg).ci_beta
-                        nppr_cover.append(float(ci.lower <= true_beta <= ci.upper))
-                    except EstimationError:
-                        pass
-            else:
-                n_nppr_failed += 1
-            if fit is None:
+        nppr[reps.start:reps.stop] = _nppr_betas(*cols)
+        if fit_competitor:
+            fits += fit_ppr_batch(*cols)
+        if not with_coverage:
+            continue
+        for rep, row in zip(reps, zip(*cols)):
+            if math.isnan(nppr[rep]):
                 continue
-            if not fit.converged or abs(fit.beta) > PPR_EXCLUSION_THRESHOLD:
-                n_ppr_excluded += 1
-            else:
-                ppr_err.append(fit.beta - true_beta)
-                # the delta interval is undefined for boundary estimates
-                if with_coverage and fit.ci_available:
-                    ppr_cover.append(
-                        float(fit.ci_beta.lower <= true_beta <= fit.ci_beta.upper)
-                    )
+            seed = np.random.SeedSequence(scenario.seed, spawn_key=(rep, 1)).generate_state(1)[0]
+            cfg = replace(bootstrap_config, seed=int(seed))
+            try:
+                ci = percentile_bootstrap(Dataset.from_columns(*row), cfg).ci_beta
+            except EstimationError:
+                continue
+            nppr_cover.append(ci.lower <= true_beta <= ci.upper)
 
-    err1 = np.asarray(nppr_err)
-    err_p = np.asarray(ppr_err)
+    err1 = nppr[~np.isnan(nppr)] - true_beta
+    beta_p = np.array([f.beta for f in fits])
+    kept = np.array([f.converged for f in fits], dtype=bool) & ~(np.abs(beta_p) > PPR_EXCLUSION_THRESHOLD)
+    err_p = beta_p[kept] - true_beta
+    # the delta interval is undefined for boundary estimates
+    ppr_cover = [f.ci_beta.lower <= true_beta <= f.ci_beta.upper for f, k in zip(fits, kept) if k and f.ci_available]
     return ScenarioResult(
         scenario=scenario,
         n_runs=n_reps,
-        n_nppr_failed=n_nppr_failed,
-        n_ppr_excluded=n_ppr_excluded,
+        n_nppr_failed=n_reps - err1.shape[0],
+        n_ppr_excluded=int(np.count_nonzero(~kept)),
         bias_nppr=_mean(err1),
         bias_ppr=_mean(err_p),
         mse_nppr=_mean(err1**2),
         mse_ppr=_mean(err_p**2),
         coverage_nppr=_mean(nppr_cover),
-        coverage_ppr=_mean(ppr_cover),
+        coverage_ppr=_mean(ppr_cover) if with_coverage else math.nan,
     )
 
 

@@ -52,16 +52,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.time.shape[0]
 
-    def group_arrays(self, group: int) -> tuple[np.ndarray, np.ndarray]:
-        """(times, status) of one group, in row order."""
-        mask = self.group == group
-        return self.time[mask], self.status[mask]
-
-    def take(self, indices) -> "Dataset":
-        """Row subset/resample by index, without re-validation."""
-        idx = np.asarray(indices)
-        return Dataset.from_columns(self.time[idx], self.status[idx], self.group[idx])
-
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
@@ -140,11 +130,16 @@ class EventGrid:
         """Count table (bin, group, status) of the whole dataset, or one
         table per row of ``rows``, a (B, n) array of row indices: shape
         (K + 1, 2, 2) or (B, K + 1, 2, 2)."""
-        if rows is None:
-            return np.bincount(self.cell, minlength=self.n_cells).reshape(-1, 2, 2)
-        b = rows.shape[0]
-        codes = self.cell[rows] + self.n_cells * np.arange(b)[:, None]
-        return np.bincount(codes.ravel(), minlength=b * self.n_cells).reshape(b, -1, 2, 2)
+        tables = count_tables(self.cell[None if rows is None else rows], self.n_cells)
+        return tables[0] if rows is None else tables
+
+
+def count_tables(codes: np.ndarray, n_cells: int) -> np.ndarray:
+    """The count tables (R, n_cells / 4, 2, 2) of the rows of cell codes
+    (R, n) below ``n_cells``, offset into disjoint ranges for one bincount."""
+    reps = codes.shape[0]
+    codes = codes + n_cells * np.arange(reps)[:, None]
+    return np.bincount(codes.ravel(), minlength=reps * n_cells).reshape(reps, n_cells // 4, 2, 2)
 
 
 def cell_codes(time, status, group) -> np.ndarray:

@@ -177,6 +177,25 @@ def _cox_loglik_from_counts(counts, b):
     return ll
 
 
+def cox_score_root_oracle(time, status, group, lo=-30.0, hi=30.0):
+    """The root of the Breslow score in log-HR by bisection on [lo, hi]; the
+    score d1 - d*n1*e^b/(n0 + n1*e^b), summed over the event times,
+    decreases in b."""
+    counts = _cox_counts(time, status, group)
+
+    def score(b):
+        return sum(d1 - d * n1 / (n0 * math.exp(-b) + n1) for d, d1, n1, n0 in counts)
+
+    assert score(lo) > 0.0 > score(hi), "no sign change of the score on [lo, hi]"
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if score(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
 def cox_partial_loglik(time, status, group, b):
     """Breslow partial log-likelihood of the group indicator at log-HR b."""
     return _cox_loglik_from_counts(_cox_counts(time, status, group), b)

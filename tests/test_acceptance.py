@@ -146,8 +146,7 @@ def _exact_eu_mle(data):
     shape grid (0.55 to 1.63, step 0.02), each theta solved by golden section
     including the support boundary, then golden section over alpha between
     the best grid point's neighbours. Returns (loglik, beta)."""
-    t1, s1 = data.group_arrays(1)
-    t0, s0 = data.group_arrays(0)
+    (t1, s1), (t0, s0) = ((data.time[data.group == g], data.status[data.group == g]) for g in (1, 0))
 
     def profile(alpha):
         l1, th1 = _profile_theta_loglik(t1, s1, alpha)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -73,8 +74,11 @@ class TestFit:
             (b"time,status,group\n1.0,1,1\n2.0,1\n", "2 fields where the header has 3 at row 2"),
             (b"time,status,group\n1.0,1,1\n\n2.0,1,0,9\n", "4 fields where the header has 3 at row 2"),
             (b"time,status,group\n", "dataset is empty"),
+            (b"time,status,group\n1.0,1,1\n" + b"1" * (csv.field_size_limit() + 1) + b",1,0\n",
+             f"{{path}}: field larger than field limit ({csv.field_size_limit()}) at row 2"),
         ],
-        ids=["stray_0xff", "utf16", "repeated_time", "overflow_time", "short_record", "surplus_field", "header_only"],
+        ids=["stray_0xff", "utf16", "repeated_time", "overflow_time", "short_record", "surplus_field", "header_only",
+             "field_over_limit"],
     )
     def test_unreadable_csv_exit_code(self, tmp_path, raw, message, capsys):
         path = tmp_path / "odd.csv"
@@ -149,6 +153,19 @@ class TestParametricCommands:
         assert code == 0
         assert payload["ci_reason"] == ci_reason
         assert (payload["ci_beta"] is None) == bool(ci_reason)
+
+    def test_ppr_fit_overflowing_rr_is_null(self, tmp_path):
+        # alpha = 765.5 and log RR = 1297.2: RR overflows a float
+        path = tmp_path / "steep.csv"
+        path.write_text(
+            "time,status,group\n6.802643264328159,1,0\n0.7743490126275611,0,0\n1.2494447910629076,1,1\n"
+            "0.3712993410902009,0,1\n2.5224244808724343,0,0\n6.7760360718094095,1,0\n"
+        )
+        code, out = run_cli("ppr-fit", "--data", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["converged"] and math.isfinite(payload["beta"])
+        assert payload["rr"] is None
 
     def test_cox(self, data_csv):
         code, out = run_cli("cox", "--data", data_csv)

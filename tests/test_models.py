@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proprisk import (
     Dataset,
+    EstimationError,
     EuParams,
     WeibullPhParams,
     cox_two_group,
@@ -12,13 +15,14 @@ from proprisk import (
     eu_log_likelihood,
     eu_quantile,
     fit_ppr,
+    nppr_fit,
     validate_dataset,
     weibull_ph_cdf,
     weibull_ph_quantile,
 )
 import proprisk.models as models
 
-from oracles import cox_grid_oracle, cox_partial_loglik, eu_delta_half_width_oracle
+from oracles import cox_grid_oracle, cox_partial_loglik, cox_score_root_oracle, eu_delta_half_width_oracle
 
 EU = EuParams(0.859, 0.005, 0.009)
 WEIB = WeibullPhParams(0.916, 145.575, 88.296)
@@ -164,7 +168,7 @@ class TestFitPpr:
         data = _sim(n=150)
         rng = np.random.default_rng(1)
         perm = rng.permutation(len(data))
-        shuffled = data.take(perm)
+        shuffled = Dataset.from_columns(data.time[perm], data.status[perm], data.group[perm])
         a, b = fit_ppr(data), fit_ppr(shuffled)
         assert a.params == b.params
 
@@ -253,40 +257,87 @@ class TestFitPpr:
         assert len(calls) == sum(f.converged for f in fits)
 
 
+def _chunk(effect, rate, n, reps, seed=20240801):
+    """Replicates 0..reps-1 of an EU scenario as (time, status, group), each (reps, n)."""
+    import proprisk
+
+    sc = proprisk.make_scenario(proprisk.Model.PPR_EU, effect, rate, n, seed=seed)
+    return proprisk.simulate.simulate_replicates(sc, range(reps))
+
+
+def _rows(*datasets):
+    """Datasets of one size n stacked into (time, status, group), each (R, n)."""
+    rows = np.array(datasets, dtype=float)
+    return rows[..., 0], rows[..., 1].astype(np.int64), rows[..., 2].astype(np.int64)
+
+
+# the EU fit of these rows has alpha = 765.5 and log RR = 1297.2: RR overflows
+OVERFLOW_ROWS = [
+    (6.802643264328159, 1, 0), (0.7743490126275611, 0, 0), (1.2494447910629076, 1, 1),
+    (0.3712993410902009, 0, 1), (2.5224244808724343, 0, 0), (6.7760360718094095, 1, 0),
+]
+
+
 class TestFitPprBatch:
     """Lanes of one batch against single fits: the same fit, bit for bit."""
 
+    # one n=6 batch holding every reason a fit has no maximum
+    FAILURES = _rows(
+        [(1.0, 0, 1), (2.0, 0, 0), (1.5, 0, 1), (3.0, 0, 0), (0.5, 0, 1), (2.5, 0, 0)],  # no events
+        [(1.0, 0, 1), (2.0, 0, 1), (1.5, 1, 0), (3.0, 0, 0), (0.5, 0, 1), (2.5, 1, 0)],  # a group without events
+        [(2.0, 1, 1), (2.0, 1, 1), (1.0, 0, 1), (3.0, 1, 0), (1.5, 0, 0), (3.0, 1, 0)],  # alpha unbounded
+        [(1.0, 1, 1), (2.0, 0, 1), (3.0, 1, 1), (4.0, 1, 1), (5.0, 0, 1), (6.0, 1, 1)],  # an empty group
+    )
+
     @staticmethod
-    def _datasets():
-        tiny = [
-            validate_dataset([(1.0, 0, 1), (2.0, 0, 0)]),  # no events
-            validate_dataset([(1.0, 0, 1), (2.0, 0, 1), (1.5, 1, 0), (3.0, 0, 0)]),  # a group without events
-            validate_dataset([(2.0, 1, 1), (2.0, 1, 1), (3.0, 1, 0)]),  # alpha unbounded
-            Dataset.from_columns([1.0, 2.0, 3.0], [1, 0, 1], [1, 1, 1]),  # an empty group
-        ]
-        small = [_sim(0.0, 0.7, 50, seed=20240801, rep=rep) for rep in range(12)]
-        large = [_sim(0.5, 0.3, 500, seed=20240801, rep=rep) for rep in range(4)]
-        return small[:6] + tiny[:2] + large + small[6:] + tiny[2:]
+    def _batches():
+        # the failure lanes sit between lanes that converge
+        small = _chunk(0.5, 0.3, 6, 4)
+        tiny = tuple(np.concatenate((a[:2], f, a[2:])) for a, f in zip(small, TestFitPprBatch.FAILURES))
+        return [tiny, _chunk(0.0, 0.7, 50, 12), _chunk(0.5, 0.3, 500, 4)]
+
+    @staticmethod
+    def _single(cols):
+        return [repr(fit_ppr(Dataset.from_columns(*row))) for row in zip(*cols)]
 
     def test_every_lane_equals_its_single_fit(self):
-        data = self._datasets()
-        fits = models.fit_ppr_batch(data)
-        # repr round-trips every float, NaN and the sign of zero included
-        assert [repr(f) for f in fits] == [repr(fit_ppr(d)) for d in data]
-        reasons = {f.reason for f in fits}
-        assert {"no events", "a group has no events", "a group is empty"} <= reasons
-        assert "likelihood still increasing as alpha grows" in reasons
+        fits = []
+        for cols in self._batches():
+            batch = models.fit_ppr_batch(*cols)
+            # repr round-trips every float, NaN and the sign of zero included
+            assert [repr(f) for f in batch] == self._single(cols)
+            fits += batch
+        assert [f.reason for f in fits[2:6]] == [
+            "no events", "a group has no events", "likelihood still increasing as alpha grows", "a group is empty",
+        ]
+        assert all(f.converged for f in fits[:2] + fits[6:8])
         assert any(f.ci_available for f in fits)
         assert any(f.ci_reason == "estimate at support boundary" for f in fits)
 
     def test_lane_order_does_not_matter(self):
-        data = self._datasets()
-        forward = models.fit_ppr_batch(data)
-        backward = models.fit_ppr_batch(data[::-1])
-        assert [repr(f) for f in forward] == [repr(f) for f in backward[::-1]]
+        for cols in self._batches():
+            forward = models.fit_ppr_batch(*cols)
+            backward = models.fit_ppr_batch(*(c[::-1] for c in cols))
+            assert [repr(f) for f in forward] == [repr(f) for f in backward[::-1]]
+
+    def test_row_order_within_lanes_does_not_matter(self):
+        cols = _chunk(0.5, 0.5, 100, 40)
+        rng = np.random.default_rng(3)
+        perm = np.argsort(rng.random(cols[0].shape), axis=-1)  # an independent shuffle of each row
+        shuffled = tuple(np.take_along_axis(c, perm, axis=-1) for c in cols)
+        fits = [repr(f) for f in models.fit_ppr_batch(*cols)]
+        assert fits == [repr(f) for f in models.fit_ppr_batch(*shuffled)]
+        assert fits == self._single(cols)
+
+    def test_overflowing_rr_is_inf_and_keeps_its_batch(self):
+        cols = _rows(OVERFLOW_ROWS, [(t, s, 1 - g) for t, s, g in OVERFLOW_ROWS])
+        fits = models.fit_ppr_batch(*cols)
+        assert [repr(f) for f in fits] == self._single(cols)
+        assert fits[0].converged and math.isfinite(fits[0].beta) and fits[0].rr == math.inf
+        assert fits[1].converged and fits[1].beta == -fits[0].beta and fits[1].rr == 0.0
 
     def test_empty_batch(self):
-        assert models.fit_ppr_batch([]) == []
+        assert models.fit_ppr_batch(np.empty((0, 5)), np.empty((0, 5), dtype=np.int64), np.empty((0, 5), dtype=np.int64)) == []
 
     @pytest.mark.parametrize("effect, rate, n, n_lanes", [(0.5, 0.3, 500, 40), (0.0, 0.7, 50, 39)])
     def test_each_lane_repeats_only_its_final_profile(self, monkeypatch, effect, rate, n, n_lanes):
@@ -300,7 +351,7 @@ class TestFitPprBatch:
             return real(units, alpha, lanes)
 
         monkeypatch.setattr(models, "_profile", recording)
-        models.fit_ppr_batch([_sim(effect, rate, n, seed=20240801, rep=rep) for rep in range(40)])
+        models.fit_ppr_batch(*_chunk(effect, rate, n, 40))
         by_lane = {}
         for lane, alpha in pairs:
             by_lane.setdefault(lane, []).append(alpha)
@@ -356,7 +407,7 @@ class TestBrentq:
         sc = proprisk.make_scenario(proprisk.Model.PPR_EU, effect, rate, n, seed=20240801)
         for rep in range(20):
             fit_ppr(proprisk.simulate_dataset(sc, rep))
-        models.fit_ppr_batch([proprisk.simulate_dataset(sc, rep) for rep in range(20, 40)])
+        models.fit_ppr_batch(*proprisk.simulate.simulate_replicates(sc, range(20, 40)))
         lanes = [
             (f, a[i], b[i], fa[i], fb[i], kw, root[i], i)
             for f, a, b, fa, fb, kw, root in calls
@@ -426,6 +477,23 @@ class TestCoxTwoGroup:
         fit = cox_two_group(validate_dataset(rows))
         assert not fit.converged
 
+    # Newton overshoots these maxima by far: to -170.2 (reported as a monotone
+    # likelihood), and to 116,776 (where exp(b) overflowed)
+    FIRST_STEP_OVERSHOOTS = [
+        (0.8, 1, 1), (1.0, 0, 1), (1.0, 1, 0), (3.7, 0, 0), (4.1, 1, 0), (4.8, 0, 0), (5.2, 0, 0), (5.5, 1, 0),
+        (6.5, 0, 0), (6.6, 0, 0), (7.7, 0, 0), (7.7, 1, 0), (7.8, 1, 0), (8.1, 0, 0), (9.2, 0, 0), (9.9, 1, 0),
+    ]
+
+    @pytest.mark.parametrize("extra, root", [([], 2.29248), ([(2.0, 0, 0), (2.5, 1, 0), (3.4, 0, 0)], 2.48664)])
+    def test_overshooting_newton_step_is_halved(self, extra, root):
+        rows = self.FIRST_STEP_OVERSHOOTS + extra
+        fit = cox_two_group(validate_dataset(rows))
+        assert fit.converged and fit.reason == ""
+        exact = cox_score_root_oracle(*zip(*rows))
+        assert exact == pytest.approx(root, abs=1e-5)
+        assert abs(fit.log_hr - exact) <= 1e-8
+        assert fit.hr == pytest.approx(math.exp(fit.log_hr), rel=1e-15)
+
     def test_no_events_in_one_group(self):
         rows = [(1.0, 1, 1), (2.0, 0, 0), (3.0, 0, 0)]
         fit = cox_two_group(validate_dataset(rows))
@@ -442,3 +510,44 @@ class TestCoxTwoGroup:
             cox_partial_loglik(*args, b) for b in np.linspace(-4, 4, 401)
         )
         assert cox_partial_loglik(*args, fit.log_hr) >= best_grid - 1e-9
+
+
+# ROADMAP aim 3: on any valid input a fit returns or raises EstimationError, never a traceback
+_TIED_TIME = st.integers(1, 4).map(float)
+_WIDE_TIME = st.floats(-8.0, 8.0).map(lambda x: 10.0**x)  # 1e-8 to 1e8, log-uniform
+
+
+@st.composite
+def _same_size_datasets(draw):
+    """One to four datasets of one size n <= 12, each with both groups;
+    all of them with tie-heavy integer times or all with times 1e-8 to 1e8."""
+    n = draw(st.integers(2, 12))
+    times = draw(st.sampled_from([_TIED_TIME, _WIDE_TIME]))
+    bits = st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2)
+    datasets = []
+    for _ in range(draw(st.integers(1, 4))):
+        t = draw(st.lists(times, min_size=n, max_size=n))
+        s = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        g = draw(st.permutations([0, 1] + draw(bits)))
+        datasets.append(list(zip(t, s, g)))
+    return datasets
+
+
+@given(_same_size_datasets())
+@settings(max_examples=150, deadline=None)
+@example([OVERFLOW_ROWS, [(t, s, 1 - g) for t, s, g in OVERFLOW_ROWS]])
+@example([[(0.7724848797851422, 1, 1), (0.7761237321051168, 1, 1), (0.5986276180771464, 0, 1), (4.011751250916558, 1, 0)]])
+@example([TestCoxTwoGroup.FIRST_STEP_OVERSHOOTS])
+@example([TestCoxTwoGroup.FIRST_STEP_OVERSHOOTS + [(2.0, 0, 0), (2.5, 1, 0), (3.4, 0, 0)]])
+def test_fits_return_or_raise_estimation_error(datasets):
+    single = []
+    for rows in datasets:
+        data = validate_dataset(rows)
+        single.append(repr(fit_ppr(data)))
+        for fit in (cox_two_group, nppr_fit):
+            try:
+                fit(data)
+            except EstimationError:
+                pass
+    # one lane per dataset, each lane the dataset's own fit
+    assert [repr(f) for f in models.fit_ppr_batch(*_rows(*datasets))] == single

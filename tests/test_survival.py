@@ -227,7 +227,8 @@ def test_event_grid_counts_match_km(rows1, rows0):
     grid = event_grid(data)
     np.testing.assert_array_equal(grid.event_times, np.unique(data.time[data.status == 1]))
     rows = np.random.default_rng(len(data)).integers(0, len(data), size=(3, len(data)))
-    tables = [(data, grid.table())] + [(data.take(r), t) for r, t in zip(rows, grid.table(rows))]
+    resamples = [Dataset.from_columns(data.time[r], data.status[r], data.group[r]) for r in rows]
+    tables = [(data, grid.table())] + list(zip(resamples, grid.table(rows)))
     for sample, table in tables:
         events, at_risk = events_at_risk(table)
         assert events.sum() == sample.status.sum()
