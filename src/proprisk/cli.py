@@ -6,14 +6,16 @@ NNT and bootstrap interval), ``ppr-fit`` (parametric EU competitor),
 replicate datasets for a scenario), ``study`` (run a scenario grid and
 emit the metric table), ``plotdata`` (per-time data series for plotting).
 
-Exit codes: 0 success, 2 validation error, 3 estimation failure (empty
-usable event-time set), 4 non-convergence.
+Exit codes: 0 success, 1 stdout closed before the output was written,
+2 validation error, 3 estimation failure (empty usable event-time set),
+4 non-convergence.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -32,8 +34,10 @@ from .reporting import (
 )
 from .simulate import default_grid, load_grid, reseed, simulate_dataset
 from .study import GRID_COLUMNS, run_scenario, summarize_grid
+from .survival import event_grid, kaplan_meier
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_VALIDATION = 2
 EXIT_ESTIMATION = 3
 EXIT_CONVERGENCE = 4
@@ -143,7 +147,6 @@ def _cmd_study(args) -> int:
                 args.reps,
                 with_coverage=args.coverage,
                 bootstrap_config=BootstrapConfig(n_resamples=args.bootstrap),
-                progress=args.verbose,
             )
         )
     writer = csv.writer(sys.stdout)
@@ -155,15 +158,17 @@ def _cmd_study(args) -> int:
 
 def _cmd_plotdata(args) -> int:
     data = read_dataset_csv(args.data)
-    result = nppr_fit(data)
     writer = csv.writer(sys.stdout)
     if args.series == "cdf":
+        # Kaplan-Meier only: the CDFs exist even where the NPPR window is empty
+        grid = event_grid(data)
+        cdf = 1.0 - kaplan_meier(grid.table())[1]
         writer.writerow(["time", "cdf_treatment", "cdf_control"])
-        writer.writerows(zip(result.event_times.tolist(), result.cdf[:, 1].tolist(), result.cdf[:, 0].tolist()))
+        writer.writerows(zip(grid.event_times.tolist(), cdf[:, 1].tolist(), cdf[:, 0].tolist()))
         return EXIT_OK
 
     # columns of the fit report; csv.writer writes None as an empty cell
-    doc = build_report(result, None)
+    doc = build_report(nppr_fit(data), None)
     pointwise, rd = doc["pointwise_series"], doc["rd_nnt_series"]
     if args.series == "beta_t":
         writer.writerow(["time", "beta_t"])
@@ -217,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also estimate CI coverage (slow: bootstrap per replicate)")
     p.add_argument("--bootstrap", type=int, default=500, metavar="B")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_study)
 
     p = sub.add_parser("plotdata", help="per-time data series for plotting")
@@ -231,13 +235,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`): point it at devnull so the
+        # interpreter's final flush stays quiet (the recipe in the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
+    return code
 
 
 if __name__ == "__main__":

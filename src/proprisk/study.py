@@ -34,14 +34,14 @@ with NaN exactly where it raises, and one-replicate chunks against the
 default.
 
 The grid table (summarize_grid, and the CSV that ``proprisk study`` writes)
-has the columns GRID_COLUMNS: the scenario's model, effect, censoring rate
-and sample size, then the fields of ScenarioResult.
+has one row per ScenarioResult, in the order of the results, and the
+columns GRID_COLUMNS: the scenario's model, effect, censoring rate and
+sample size, then the fields of ScenarioResult.
 """
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -59,16 +59,24 @@ CHUNK_ROWS = 8192
 
 @dataclass(frozen=True)
 class ScenarioResult:
+    """One row of the grid table: the scenario, then the metrics in the
+    table's column order (GRID_COLUMNS[4:])."""
+
     scenario: Scenario
     n_runs: int
-    n_nppr_failed: int
-    n_ppr_excluded: int
     bias_nppr: float
     bias_ppr: float
     mse_nppr: float
     mse_ppr: float
     coverage_nppr: float
     coverage_ppr: float
+    n_nppr_failed: int
+    n_ppr_excluded: int
+
+
+GRID_COLUMNS = ("model", "effect", "censoring", "participants") + tuple(
+    f.name for f in fields(ScenarioResult)[1:]
+)
 
 
 def _mean(values) -> float:
@@ -90,7 +98,6 @@ def run_scenario(
     n_reps: int,
     with_coverage: bool = False,
     bootstrap_config: BootstrapConfig | None = None,
-    progress: bool = False,
     fit_competitor: bool | None = None,
 ) -> ScenarioResult:
     """Simulate ``n_reps`` studies from one scenario and aggregate.
@@ -114,8 +121,6 @@ def run_scenario(
     chunk = max(1, CHUNK_ROWS // scenario.n_participants)
     for first in range(0, n_reps, chunk):
         reps = range(first, min(first + chunk, n_reps))
-        for rep in (r for r in reps if progress and r and r % 200 == 0):
-            print(f"  replicate {rep}/{n_reps}", file=sys.stderr)
         cols = simulate_replicates(scenario, reps)
         nppr[reps.start:reps.stop] = _nppr_betas(*cols)
         if fit_competitor:
@@ -153,42 +158,11 @@ def run_scenario(
     )
 
 
-_EFFECT_ORDER = {0.0: 0, 0.5: 1, 0.25: 2, -0.25: 3, -0.5: 4}
-
-GRID_COLUMNS = (
-    "model",
-    "effect",
-    "censoring",
-    "participants",
-    "n_runs",
-    "bias_nppr",
-    "bias_ppr",
-    "mse_nppr",
-    "mse_ppr",
-    "coverage_nppr",
-    "coverage_ppr",
-    "n_nppr_failed",
-    "n_ppr_excluded",
-)
-
-
 def summarize_grid(results: list[ScenarioResult]) -> list[dict]:
-    """Machine-readable grid table in the reference row ordering:
-    effect (0, 0.5, 0.25, -0.25, -0.5), then censoring ascending, then
-    participants descending, PR model block before PH."""
-
-    def key(r: ScenarioResult):
-        s = r.scenario
-        return (
-            0 if s.model is Model.PPR_EU else 1,
-            _EFFECT_ORDER.get(s.effect_beta, len(_EFFECT_ORDER)),
-            s.effect_beta,
-            s.censor_rate,
-            -s.n_participants,
-        )
-
+    """The grid table as dicts keyed by GRID_COLUMNS, one per result, in the
+    order given (``default_grid()`` builds the reference order)."""
     rows = []
-    for r in sorted(results, key=key):
+    for r in results:
         s = r.scenario
         cells = (s.model.value, s.effect_beta, s.censor_rate, s.n_participants)
         cells += tuple(getattr(r, name) for name in GRID_COLUMNS[len(cells):])

@@ -2,14 +2,20 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import proprisk as pr
+from oracles import km_oracle
 from proprisk.cli import main
 from proprisk.reporting import write_dataset_csv
+
+TRIAL = str(Path(pr.__file__).parent / "data" / "synthetic_trial.csv")
 
 
 @pytest.fixture()
@@ -390,7 +396,7 @@ class TestPlotData:
         """plotdata's rows are columns of the fit report, in its delimited
         and its structured form (equal risk: every NNT is null)."""
         if which == "trial":
-            path = str(Path(pr.__file__).parent / "data" / "synthetic_trial.csv")
+            path = TRIAL
         else:
             path = str(tmp_path / "equal.csv")
             write_dataset_csv(pr.validate_dataset(
@@ -428,3 +434,38 @@ class TestPlotData:
         t, c1, c0 = (float(v) for v in rows[0])
         assert t == res.event_times[0]
         assert (c1, c0) == (res.cdf[0, 1], res.cdf[0, 0])
+
+    def test_cdf_needs_no_nppr_window(self, tmp_path):
+        # treatment's events all precede control's: the NPPR window is empty,
+        # but the Kaplan-Meier CDFs exist
+        rows = [(1.0, 1, 1), (2.0, 1, 1), (3.0, 0, 1), (4.0, 1, 0), (5.0, 1, 0), (6.0, 0, 0)]
+        path = str(tmp_path / "disjoint.csv")
+        write_dataset_csv(pr.validate_dataset(rows), path)
+        assert run_cli("fit", "--data", path, "--bootstrap", "0")[0] == 3
+        code, out = run_cli("plotdata", "--data", path, "--series", "cdf")
+        assert code == 0
+        table = [[float(v) for v in row] for row in list(csv.reader(io.StringIO(out)))[1:]]
+        assert [row[0] for row in table] == [1.0, 2.0, 4.0, 5.0]
+        for col, g in ((1, 1), (2, 0)):
+            km = km_oracle([(t, s) for t, s, grp in rows if grp == g])
+            expected = [1.0 - next((k[1] for k in reversed(km) if k[0] <= t), 1.0) for t, *_ in table]
+            assert [row[col] for row in table] == pytest.approx(expected, abs=1e-15)
+
+
+@pytest.mark.parametrize("argv", [
+    ("plotdata", "--data", TRIAL, "--series", "beta_t"),
+    ("cox", "--data", TRIAL),
+])
+def test_closed_stdout_exits_without_traceback(argv):
+    """A reader that closes stdout early (`| head -1`) ends the command with
+    exit code 1 and a quiet stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pr.__file__).resolve().parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "proprisk.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr

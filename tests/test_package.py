@@ -1,8 +1,9 @@
-"""Package-level guards: what ``import proprisk`` loads, and the names the
-benchmark's tracer wraps."""
+"""Package-level guards: what ``import proprisk`` loads, the names the
+benchmark's tracer wraps, and the script that regenerates the bundled trial."""
 import importlib
 import importlib.util
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,13 @@ def test_import_leaves_scipy_unloaded():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_synthetic_trial_script_regenerates_bundled_file(tmp_path):
+    # every trial figure in the tests and the benchmark rests on this file
+    root = Path(__file__).resolve().parents[1]
+    script = runpy.run_path(str(root / "scripts" / "make_synthetic_trial.py"))
+    out = tmp_path / "synthetic_trial.csv"
+    script["main"].__globals__["OUT"] = str(out)
+    script["main"]()
+    assert out.read_bytes() == (root / "src" / "proprisk" / "data" / "synthetic_trial.csv").read_bytes()

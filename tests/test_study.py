@@ -154,26 +154,39 @@ class TestSummarizeGrid:
         assert list(row) == list(GRID_COLUMNS)
         assert row["bias_nppr"] == r.bias_nppr
         assert row["participants"] == 60
-        # the columns after the scenario's four are the result's own fields
+        # the columns after the scenario's four are the result's own fields, in order
         result = {f.name: getattr(r, f.name) for f in fields(r)[1:]}
-        assert set(GRID_COLUMNS[4:]) == set(result)
+        assert GRID_COLUMNS[4:] == tuple(result)
         np.testing.assert_equal({c: row[c] for c in result}, result)
 
-    def test_reference_row_ordering(self):
-        scenarios = []
-        for model in (Model.WEIBULL_PH, Model.PPR_EU):
-            for effect in (-0.5, 0.25, 0.0):
-                for rate in (0.7, 0.3):
-                    for n in (50, 500):
-                        scenarios.append(pr.make_scenario(model, effect, rate, n, seed=0))
+    def test_rows_keep_the_given_order(self):
+        scenarios = [
+            pr.make_scenario(model, effect, rate, n, seed=0)
+            for model, effect, rate, n in [
+                (Model.WEIBULL_PH, -0.5, 0.7, 50),
+                (Model.PPR_EU, 0.25, 0.3, 500),
+                (Model.PPR_EU, 0.0, 0.7, 50),
+            ]
+        ]
         results = [run_scenario(s, 2) for s in scenarios]
-        rows = summarize_grid(results)
-        keys = [(r["model"], r["effect"], r["censoring"], r["participants"]) for r in rows]
-        # PR block first; effects in reference order 0, 0.25, -0.5;
-        # censoring ascending; participants descending
-        assert keys[0] == ("ppr_eu", 0.0, 0.3, 500)
-        assert keys[1] == ("ppr_eu", 0.0, 0.3, 50)
-        assert keys[2] == ("ppr_eu", 0.0, 0.7, 500)
-        assert keys[4] == ("ppr_eu", 0.25, 0.3, 500)
-        assert keys[8] == ("ppr_eu", -0.5, 0.3, 500)
-        assert keys[12][0] == "weibull_ph"
+        forward = summarize_grid(results)
+        keys = [(s.model.value, s.effect_beta, s.censor_rate, s.n_participants) for s in scenarios]
+        assert [tuple(r.values())[:4] for r in forward] == keys
+        assert summarize_grid(results[::-1]) == forward[::-1]
+
+    def test_default_grid_is_in_reference_order(self):
+        # PR block first; effects 0, 0.5, 0.25, -0.25, -0.5; censoring
+        # ascending; participants descending
+        effect_order = {0.0: 0, 0.5: 1, 0.25: 2, -0.25: 3, -0.5: 4}
+
+        def key(s):
+            return (
+                0 if s.model is Model.PPR_EU else 1,
+                effect_order[s.effect_beta],
+                s.censor_rate,
+                -s.n_participants,
+            )
+
+        keys = [key(s) for s in default_grid()]
+        assert len(keys) == len(set(keys)) == 90
+        assert keys == sorted(keys)
