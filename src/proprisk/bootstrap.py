@@ -10,9 +10,34 @@ Quantile rule: plain empirical quantile with ceiling rank, i.e. the
 ceil(q*B)-th order statistic. This is exactly reproducible across
 languages, unlike interpolating quantile definitions.
 
-Randomness: each resample draws from its own child of
-numpy.random.SeedSequence(seed), so results are independent of execution
-order and reproducible for a fixed seed.
+Randomness: resample i draws its rows from its own child stream,
+default_rng(SeedSequence(seed).spawn(B)[i]).integers(0, n, size=n), so
+results are independent of execution order and reproducible for a fixed
+seed. ``resample_rows`` gives exactly those rows without building a
+SeedSequence child or a Generator per resample:
+
+- Child seeds, per chunk, as uint32 array arithmetic. A child's entropy is
+  the seed's little-endian 32-bit words, zero-padded to the pool size of 4,
+  then its index, so its pool before the index is mixed in is the pool of
+  SeedSequence(seed), built once (numpy's own coercion, including the
+  extra mixing rounds of seeds longer than 4 words). The index's hash and
+  mix steps and generate_state(4, uint64)'s output hash follow numpy's
+  bit_generator.pyx, an implementation of O'Neill's seed_seq
+  (pcg-random.org, 2015).
+- One reused PCG64 is set to each child's state: the words give PCG64's
+  two-step srandom, computed in Python ints. Its raw 64-bit output is
+  read as numpy's next_uint32 reads it, low half first. No PCG64 step is
+  ported; the stream is numpy's own.
+- Row j is the high word of u_j * n, Lemire's bounded integer (ACM TOMACS
+  29, 2019) as Generator.integers computes it. A resample in which any
+  u_j falls in Lemire's rejection branch is redrawn by Generator.integers
+  from the same state.
+
+NEP 19 does not promise stable Generator streams across numpy releases.
+tests/test_bootstrap.py::TestResampleRows checks these rows against
+default_rng on each child for seeds of one to five words and n from 1 to
+the bundled trial's size, and checks a resample that takes the rejection
+branch.
 
 Computation: the resamples are not refitted one by one. Every row of the
 data falls in one cell (event-time bin, group, status) of the grid that
@@ -46,6 +71,73 @@ from .survival import ConfidenceInterval, Dataset, event_grid
 # Count-table cells per chunk of resamples; bounds the working set, not the result.
 CHUNK_CELLS = 8192
 
+# SeedSequence's hash and mix constants (numpy/random/bit_generator.pyx)
+# and PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_chain(init: int, mult: int, first: int, steps: int) -> np.ndarray:
+    """The hash constant before each of hash steps first .. first + steps - 1,
+    and after the last: init * mult**j mod 2**32."""
+    return np.array([init * pow(mult, j, 2**32) % 2**32 for j in range(first, first + steps + 1)], dtype=np.uint32)
+
+
+# generate_state(4, uint64) hashes the pool's 4 words twice over, 8 steps
+_OUT_CHAIN = _hash_chain(_INIT_B, _MULT_B, 0, 8)
+_OUT_BEFORE, _OUT_AFTER = _OUT_CHAIN[:-1].reshape(2, 4), _OUT_CHAIN[1:].reshape(2, 4)
+
+
+def _pcg64_states(pool: np.ndarray, spawn_chain: np.ndarray, children: np.ndarray) -> list[dict]:
+    """PCG64 state of default_rng(SeedSequence(seed, spawn_key=(k,))) for
+    each child index k, from the pool of SeedSequence(seed) and the hash
+    chain of the spawn word's 4 mixing steps."""
+    v = (children.astype(np.uint32)[:, None] ^ spawn_chain[:-1]) * spawn_chain[1:]
+    v ^= v >> 16
+    p = _MIX_L * pool - _MIX_R * v  # the spawn word mixed into each pool word
+    p ^= p >> 16
+    w = (p[:, None, :] ^ _OUT_BEFORE) * _OUT_AFTER
+    w ^= w >> 16
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in w.astype("<u4", copy=False).view("<u8").reshape(-1, 4).tolist():
+        # PCG64's srandom: inc = 2 * seq + 1, then two LCG steps around adding the seed
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) % 2**128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) % 2**128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def resample_rows(seed: int, n: int, n_resamples: int, chunk: int):
+    """Yield the row indices of the resamples in chunks of ``chunk``, each a
+    (chunk, n) array: resample i is
+    default_rng(SeedSequence(seed).spawn(n_resamples)[i]).integers(0, n, size=n),
+    computed without building either (see Randomness above)."""
+    if not 0 < n < 2**32 or n_resamples > 2**32:
+        raise ValueError("resample size and count must be below 2**32")
+    # a child's pool before its index is mixed in is the parent's, which took
+    # 4 hash steps per word of its entropy (at least 4 words)
+    pool = np.random.SeedSequence(seed).pool
+    n_words = max(4, (max(int(seed).bit_length(), 1) + 31) // 32)
+    spawn_chain = _hash_chain(_INIT_A, _MULT_A, 4 * n_words, 4)
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    half = (n + 1) // 2
+    threshold = (2**32 - n) % n  # a draw whose low word is below this is rejected
+    for start in range(0, n_resamples, chunk):
+        states = _pcg64_states(pool, spawn_chain, np.arange(start, min(start + chunk, n_resamples)))
+        raw = np.empty((len(states), half), dtype=np.uint64)
+        for i, state in enumerate(states):
+            bitgen.state = state
+            raw[i] = bitgen.random_raw(half)
+        u = raw.astype("<u8", copy=False).view("<u4")[:, :n]  # next_uint32 takes the low half first
+        rows = (u * np.uint64(n) >> 32).view(np.int64)  # below 2**32: an intp index, not a copy
+        for i in np.flatnonzero((u * np.uint32(n) < threshold).any(axis=1)):
+            bitgen.state = states[i]
+            rows[i] = gen.integers(0, n, size=n)
+        yield rows
+
 
 @dataclass(frozen=True)
 class BootstrapConfig:
@@ -59,6 +151,10 @@ class BootstrapConfig:
             raise ValueError("n_resamples must be >= 2")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
+        if not 0.0 <= self.min_success_fraction <= 1.0:
+            raise ValueError("min_success_fraction must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def empirical_quantile(sorted_values: np.ndarray, q: float) -> float:
@@ -82,26 +178,22 @@ def percentile_bootstrap(data: Dataset, config: BootstrapConfig) -> BootstrapRes
 
     Resamples where estimation fails (a group without events, an empty
     event-time window, no usable time) are skipped and counted. Raises
-    EstimationError when estimation fails on the original data or when
-    fewer than ``min_success_fraction`` of the resamples succeed.
+    EstimationError when estimation fails on the original data, when no
+    resample succeeds, or when fewer than ``min_success_fraction`` of the
+    resamples succeed.
     """
     n = len(data)
     grid = event_grid(data)
     chunk = max(1, CHUNK_CELLS // grid.n_cells)
-    children = np.random.SeedSequence(config.seed).spawn(config.n_resamples)
-    parts = []
     if np.isnan(fit_tables(grid.table()[None]).beta[0]):
         raise EstimationError("NPPR estimate undefined on the original data")
-    for start in range(0, config.n_resamples, chunk):
-        rows = np.stack(
-            [np.random.default_rng(c).integers(0, n, size=n) for c in children[start : start + chunk]]
-        )
-        parts.append(fit_tables(grid.table(rows)).beta)
-    betas = np.concatenate(parts)
+    betas = np.concatenate(
+        [fit_tables(grid.table(rows)).beta for rows in resample_rows(config.seed, n, config.n_resamples, chunk)]
+    )
     betas = betas[~np.isnan(betas)]
     n_effective = betas.shape[0]
     n_failed = config.n_resamples - n_effective
-    if n_effective < config.min_success_fraction * config.n_resamples:
+    if n_effective == 0 or n_effective < config.min_success_fraction * config.n_resamples:
         raise EstimationError(
             f"only {n_effective} of {config.n_resamples} bootstrap resamples "
             "produced an estimate"

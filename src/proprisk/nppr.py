@@ -129,12 +129,13 @@ def pointwise_log_rr(surv: np.ndarray, gsum: np.ndarray, window: np.ndarray):
 
 def nppr_point_estimate(beta_t, omega, usable, m) -> tuple[np.ndarray, np.ndarray]:
     """Weighted mean of beta_t over the usable times, weights m/omega, and
-    the total weight; the mean is NaN where no time is usable."""
+    the total weight; the mean is 0/0 = NaN where no time is usable, the
+    only place where the total weight is 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         w = 1.0 / omega
         total = np.where(usable, m * w, 0.0).sum(axis=-1)
         beta = np.where(usable, m * (w * beta_t), 0.0).sum(axis=-1) / total
-    return np.where(usable.any(axis=-1), beta, math.nan), total
+    return beta, total
 
 
 def fit_tables(table: np.ndarray) -> TableFit:

@@ -200,15 +200,15 @@ def test_criterion_2_table3():
 
 
 # -----------------------------------------------------------------------
-# Criterion 3: bootstrap coverage band (scaled-down: 600 reps x 250 resamples)
+# Criterion 3: bootstrap coverage band (1,000 reps x 500 resamples)
 # -----------------------------------------------------------------------
 
 def test_criterion_3_coverage_band():
     for rate in (0.3, 0.7):
         r = _cell(
-            Model.PPR_EU, 0.25, rate, reps=600, seed=20240803,
+            Model.PPR_EU, 0.25, rate, reps=1000, seed=20240803,
             with_coverage=True,
-            bootstrap_config=pr.BootstrapConfig(n_resamples=250),
+            bootstrap_config=pr.BootstrapConfig(n_resamples=500),
             fit_competitor=False,
         )
         check(3, f"PR 0.25/{rate:.0%}/500 bootstrap coverage in [0.92, 0.99]",

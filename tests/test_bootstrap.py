@@ -17,6 +17,7 @@ from proprisk import (
     simulate_dataset,
     validate_dataset,
 )
+from proprisk.bootstrap import resample_rows
 from proprisk.nppr import fit_tables
 from proprisk.survival import event_grid
 
@@ -53,6 +54,54 @@ class TestConfig:
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError):
             BootstrapConfig(level=1.0)
+
+    @pytest.mark.parametrize("fraction", [math.nan, -1.0, 1.5])
+    def test_rejects_min_success_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match="min_success_fraction"):
+            BootstrapConfig(min_success_fraction=fraction)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_accepts_min_success_fraction_bounds(self, fraction):
+        assert BootstrapConfig(min_success_fraction=fraction).min_success_fraction == fraction
+
+
+def _oracle_rows(seed, n_resamples, n):
+    """Each resample's rows from its own SeedSequence child and generator."""
+    return np.stack([
+        np.random.default_rng(child).integers(0, n, size=n)
+        for child in np.random.SeedSequence(seed).spawn(n_resamples)
+    ])
+
+
+class TestResampleRows:
+    """The rows computed from bulk-seeded PCG64 streams against one
+    default_rng per SeedSequence child."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 500, 501, 4744])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**130])
+    def test_rows_equal_default_rng_of_each_child(self, seed, n):
+        chunks = list(resample_rows(seed, n, 20, 7))
+        assert [c.shape for c in chunks] == [(7, n), (7, n), (6, n)]
+        np.testing.assert_array_equal(np.concatenate(chunks), _oracle_rows(seed, 20, n))
+
+    def test_rejected_draw_is_redrawn(self):
+        # Lemire's map of a child's first n 32-bit draws is its rows unless a
+        # draw is rejected; with seed 3 at n=4744 exactly resample 471 has one
+        seed, n, n_resamples = 3, 4744, 500
+        oracle = _oracle_rows(seed, n_resamples, n)
+        mapped = np.stack([
+            (np.random.PCG64(child).random_raw(n // 2).astype("<u8").view("<u4") * np.uint64(n)) >> 32
+            for child in np.random.SeedSequence(seed).spawn(n_resamples)
+        ])
+        assert np.flatnonzero((mapped != oracle).any(axis=1)).tolist() == [471]
+        rows = np.concatenate(list(resample_rows(seed, n, n_resamples, 2)))
+        np.testing.assert_array_equal(rows, oracle)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            next(resample_rows(-1, 5, 4, 2))
+        with pytest.raises(ValueError, match="seed"):
+            BootstrapConfig(n_resamples=4, seed=-1)
 
 
 def _cumhaz_ids(names):
@@ -114,6 +163,13 @@ class TestPercentileBootstrap:
         assert r.n_failed > 0
         assert r.ci_beta.n_effective == r.n_effective
 
+    def test_no_successful_resample_raises(self):
+        # the point estimate exists, but neither resample has a usable time
+        data = validate_dataset([(1.0, 1, 0), (2.0, 1, 1), (3.0, 1, 0), (4.0, 0, 1)])
+        nppr_fit(data)
+        with pytest.raises(EstimationError, match="only 0 of 2"):
+            percentile_bootstrap(data, BootstrapConfig(n_resamples=2, seed=0, min_success_fraction=0.0))
+
     def test_too_few_successes_raises(self):
         data = validate_dataset(
             [(1.0, 1, 1), (1.5, 1, 0), (2.0, 1, 1), (2.5, 1, 0), (3.0, 0, 1)]
@@ -158,11 +214,7 @@ def _scalar_resamples(data, cfg):
 
 def _batched_failed(data, cfg):
     """Indices of the resamples the batched fit marks as failed."""
-    n = len(data)
-    rows = np.stack([
-        np.random.default_rng(c).integers(0, n, size=n)
-        for c in np.random.SeedSequence(cfg.seed).spawn(cfg.n_resamples)
-    ])
+    rows = _oracle_rows(cfg.seed, cfg.n_resamples, len(data))
     return np.flatnonzero(np.isnan(fit_tables(event_grid(data).table(rows)).beta)).tolist()
 
 
