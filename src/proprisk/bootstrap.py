@@ -60,6 +60,7 @@ nppr_fit raises on the data. The caller's own point fit is not repeated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,8 @@ from .survival import ConfidenceInterval, Dataset, event_grid
 
 # Count-table cells per chunk of resamples; bounds the working set, not the result.
 CHUNK_CELLS = 8192
+# Smallest share of resamples that must succeed; below it the bootstrap raises.
+MIN_SUCCESS_FRACTION = 0.5
 
 # SeedSequence's hash and mix constants (numpy/random/bit_generator.pyx)
 # and PCG64's 128-bit LCG multiplier.
@@ -144,15 +147,17 @@ class BootstrapConfig:
     n_resamples: int = 500
     level: float = 0.95
     seed: int = 0
-    min_success_fraction: float = 0.5
 
     def __post_init__(self):
+        for name in ("n_resamples", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.n_resamples < 2:
             raise ValueError("n_resamples must be >= 2")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
-        if not 0.0 <= self.min_success_fraction <= 1.0:
-            raise ValueError("min_success_fraction must be in [0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -179,7 +184,7 @@ def percentile_bootstrap(data: Dataset, config: BootstrapConfig) -> BootstrapRes
     Resamples where estimation fails (a group without events, an empty
     event-time window, no usable time) are skipped and counted. Raises
     EstimationError when estimation fails on the original data, when no
-    resample succeeds, or when fewer than ``min_success_fraction`` of the
+    resample succeeds, or when fewer than MIN_SUCCESS_FRACTION of the
     resamples succeed.
     """
     n = len(data)
@@ -193,7 +198,7 @@ def percentile_bootstrap(data: Dataset, config: BootstrapConfig) -> BootstrapRes
     betas = betas[~np.isnan(betas)]
     n_effective = betas.shape[0]
     n_failed = config.n_resamples - n_effective
-    if n_effective == 0 or n_effective < config.min_success_fraction * config.n_resamples:
+    if n_effective == 0 or n_effective < MIN_SUCCESS_FRACTION * config.n_resamples:
         raise EstimationError(
             f"only {n_effective} of {config.n_resamples} bootstrap resamples "
             "produced an estimate"

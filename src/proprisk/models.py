@@ -45,14 +45,6 @@ class WeibullPhParams:
         return self.lambda1 if group == 1 else self.lambda0
 
 
-def eu_cdf(params: EuParams, group: int, t):
-    """(theta*t)^alpha, clamped to [0, 1] outside the support."""
-    theta = params.theta(group)
-    ts = np.asarray(t, dtype=float)
-    out = np.clip(np.where(ts > 0, (theta * np.maximum(ts, 0.0)) ** params.alpha, 0.0), 0.0, 1.0)
-    return out if ts.ndim else float(out)
-
-
 def eu_quantile(params: EuParams, group: int, u):
     """Inverse EU CDF, t = u^(1/alpha) / theta for u in (0, 1)."""
     us = np.asarray(u, dtype=float)
@@ -60,14 +52,6 @@ def eu_quantile(params: EuParams, group: int, u):
         raise ValueError("u must be in (0, 1)")
     out = us ** (1.0 / params.alpha) / params.theta(group)
     return out if us.ndim else float(out)
-
-
-def weibull_ph_cdf(params: WeibullPhParams, group: int, t):
-    """1 - exp(-(t/lambda)^k) for t >= 0, 0 for t < 0."""
-    lam = params.scale(group)
-    ts = np.asarray(t, dtype=float)
-    out = np.where(ts >= 0, -np.expm1(-((np.maximum(ts, 0.0) / lam) ** params.k)), 0.0)
-    return out if ts.ndim else float(out)
 
 
 def weibull_ph_quantile(params: WeibullPhParams, group: int, u):

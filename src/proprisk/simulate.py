@@ -15,7 +15,8 @@ transforms them in (simulate_dataset is a batch of one).
 
 default_grid() builds the study's 90 cells at call time from EFFECTS,
 CENSOR_RATES, SAMPLE_SIZES and the parameter constants below. Grid files
-for load_grid hold scenario_to_dict's JSON form.
+for load_grid hold scenarios as JSON objects, field for field; the README
+lists the fields.
 """
 from __future__ import annotations
 
@@ -222,12 +223,8 @@ def simulate_dataset(scenario: Scenario, replicate_seed: int) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Scenario (de)serialization: the JSON grid format mirrors Scenario 1:1.
+# Scenario deserialization: the JSON grid format mirrors Scenario 1:1.
 # ---------------------------------------------------------------------------
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return dict(asdict(scenario), model=scenario.model.value)
-
 
 def scenario_from_dict(obj: dict) -> Scenario:
     """Scenario from its JSON object; ValueError for a model parameter or

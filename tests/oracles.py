@@ -1,8 +1,14 @@
 """Brute-force reference implementations, deliberately independent of the
 package's vectorized code paths: pure-Python loops, explicit risk-set
 recounts per time, no shared helpers. ``nppr_scalar`` is the exception: a
-per-dataset numpy pipeline, fast enough to refit every bootstrap resample."""
+per-dataset numpy pipeline, fast enough to refit every bootstrap resample.
+
+The generating models' CDFs (``eu_cdf``, ``weibull_ph_cdf``) and the
+grid-file form of a scenario (``scenario_to_dict``) are here too: the
+package needs only their inverses and the parser, and the tests compare
+against them."""
 import math
+from dataclasses import asdict
 from statistics import NormalDist
 
 import numpy as np
@@ -279,3 +285,24 @@ def eu_delta_half_width_oracle(time, status, group, alpha, theta1, theta0, level
         m = [[grad[r] if c == i else neg_hess[r][c] for c in range(3)] for r in range(3)]
         var += grad[i] * _det3(m) / det
     return NormalDist().inv_cdf(0.5 + level / 2.0) * math.sqrt(var)
+
+
+def eu_cdf(params, group: int, t):
+    """(theta*t)^alpha, clamped to [0, 1] outside the support."""
+    theta = params.theta(group)
+    ts = np.asarray(t, dtype=float)
+    out = np.clip(np.where(ts > 0, (theta * np.maximum(ts, 0.0)) ** params.alpha, 0.0), 0.0, 1.0)
+    return out if ts.ndim else float(out)
+
+
+def weibull_ph_cdf(params, group: int, t):
+    """1 - exp(-(t/lambda)^k) for t >= 0, 0 for t < 0."""
+    lam = params.scale(group)
+    ts = np.asarray(t, dtype=float)
+    out = np.where(ts >= 0, -np.expm1(-((np.maximum(ts, 0.0) / lam) ** params.k)), 0.0)
+    return out if ts.ndim else float(out)
+
+
+def scenario_to_dict(scenario) -> dict:
+    """A scenario as the JSON object that a grid file holds."""
+    return dict(asdict(scenario), model=scenario.model.value)

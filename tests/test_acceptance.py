@@ -24,12 +24,13 @@ import numpy as np
 import pytest
 
 import proprisk as pr
+from proprisk.models import EuParams, WeibullPhParams, eu_quantile, weibull_ph_quantile
 from proprisk.reporting import read_dataset_csv
 from proprisk.simulate import Model
 from proprisk.study import run_scenario
-from proprisk.survival import event_grid, events_at_risk
+from proprisk.survival import event_grid, events_at_risk, kaplan_meier, validate_dataset
 
-from oracles import cox_grid_oracle, km_oracle, nppr_oracle
+from oracles import cox_grid_oracle, eu_cdf, km_oracle, nppr_oracle, weibull_ph_cdf
 
 SYNTHETIC = str(Path(pr.__file__).parent / "data" / "synthetic_trial.csv")
 
@@ -317,7 +318,7 @@ def test_criterion_6_km_exhaustive_enumeration():
                 m >>= 2
             grid = event_grid(pr.Dataset.from_columns(times, status, group))
             table = grid.table()[None]
-            events, surv, gsum = pr.kaplan_meier(table)
+            events, surv, gsum = kaplan_meier(table)
             at_risk = events_at_risk(table)[1]
             for g in (0, 1):
                 rows = [(t, s) for t, s, gg in zip(times, status, group) if gg == g]
@@ -356,7 +357,7 @@ def test_criterion_7_property_suite():
 
     dup_rows = [(t, s, g) for g in (0, 1)
                 for t, s in zip(data.time.tolist(), data.status.tolist())]
-    dup = pr.validate_dataset(dup_rows)
+    dup = validate_dataset(dup_rows)
     dup_est = pr.nppr_fit(dup).estimate
     check(7, "null-effect fixed point on duplicated groups",
           dup_est.beta == 0.0 and dup_est.rr == 1.0, f"beta={dup_est.beta}")
@@ -364,11 +365,11 @@ def test_criterion_7_property_suite():
     check(7, "convex-combination bound",
           res.points.beta_t.min() - 1e-12 <= res.estimate.beta <= res.points.beta_t.max() + 1e-12)
 
-    eu = pr.EuParams(0.859, 0.005, 0.009)
-    wb = pr.WeibullPhParams(0.916, 145.575, 88.296)
+    eu = EuParams(0.859, 0.005, 0.009)
+    wb = WeibullPhParams(0.916, 145.575, 88.296)
     us = np.linspace(0.01, 0.99, 99)
-    eu_err = np.max(np.abs(np.asarray(pr.eu_cdf(eu, 1, pr.eu_quantile(eu, 1, us))) - us))
-    wb_err = np.max(np.abs(np.asarray(pr.weibull_ph_cdf(wb, 0, pr.weibull_ph_quantile(wb, 0, us))) - us))
+    eu_err = np.max(np.abs(np.asarray(eu_cdf(eu, 1, eu_quantile(eu, 1, us))) - us))
+    wb_err = np.max(np.abs(np.asarray(weibull_ph_cdf(wb, 0, weibull_ph_quantile(wb, 0, us))) - us))
     check(7, "quantile/CDF round trips below 1e-12",
           eu_err < 1e-12 and wb_err < 1e-12, f"eu={eu_err:.2e} weibull={wb_err:.2e}")
 

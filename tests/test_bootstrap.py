@@ -9,19 +9,23 @@ from proprisk import (
     BootstrapConfig,
     EstimationError,
     Model,
-    empirical_quantile,
     make_scenario,
     nppr_fit,
     percentile_bootstrap,
     read_dataset_csv,
     simulate_dataset,
-    validate_dataset,
 )
-from proprisk.bootstrap import resample_rows
+from proprisk.bootstrap import empirical_quantile, resample_rows
 from proprisk.nppr import fit_tables
-from proprisk.survival import event_grid
+from proprisk.survival import event_grid, validate_dataset
 
 from oracles import nppr_scalar
+
+
+@pytest.fixture()
+def any_success(monkeypatch):
+    """A bootstrap with any successful resample gives an interval."""
+    monkeypatch.setattr("proprisk.bootstrap.MIN_SUCCESS_FRACTION", 0.0)
 
 
 def _two_arm_data(seed=3, n=120):
@@ -55,14 +59,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             BootstrapConfig(level=1.0)
 
-    @pytest.mark.parametrize("fraction", [math.nan, -1.0, 1.5])
-    def test_rejects_min_success_fraction_outside_unit_interval(self, fraction):
-        with pytest.raises(ValueError, match="min_success_fraction"):
-            BootstrapConfig(min_success_fraction=fraction)
+    @pytest.mark.parametrize("field", ["n_resamples", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 4.0])
+    def test_rejects_non_integer_count_and_seed(self, field, value):
+        # rejected here, not later inside the bootstrap with a TypeError
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            BootstrapConfig(**{field: value})
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.0])
-    def test_accepts_min_success_fraction_bounds(self, fraction):
-        assert BootstrapConfig(min_success_fraction=fraction).min_success_fraction == fraction
+    def test_accepts_numpy_integers(self):
+        data = _two_arm_data()
+        a = percentile_bootstrap(data, BootstrapConfig(n_resamples=np.int64(20), seed=np.uint32(7)))
+        b = percentile_bootstrap(data, BootstrapConfig(n_resamples=20, seed=7))
+        np.testing.assert_array_equal(a.betas, b.betas)
 
 
 def _oracle_rows(seed, n_resamples, n):
@@ -151,14 +159,12 @@ class TestPercentileBootstrap:
         r = percentile_bootstrap(data, BootstrapConfig(n_resamples=100, seed=13))
         assert r.ci_beta.lower <= 0.0 <= r.ci_beta.upper
 
-    def test_failed_resamples_counted(self):
+    def test_failed_resamples_counted(self, any_success):
         # tiny dataset: many resamples lack one group's events entirely
         data = validate_dataset(
             [(1.0, 1, 1), (1.5, 1, 0), (2.0, 1, 1), (2.5, 1, 0), (3.0, 0, 1)]
         )
-        r = percentile_bootstrap(
-            data, BootstrapConfig(n_resamples=60, seed=17, min_success_fraction=0.0)
-        )
+        r = percentile_bootstrap(data, BootstrapConfig(n_resamples=60, seed=17))
         assert r.n_effective + r.n_failed == 60
         assert r.n_failed > 0
         assert r.ci_beta.n_effective == r.n_effective
@@ -168,16 +174,15 @@ class TestPercentileBootstrap:
         data = validate_dataset([(1.0, 1, 0), (2.0, 1, 1), (3.0, 1, 0), (4.0, 0, 1)])
         nppr_fit(data)
         with pytest.raises(EstimationError, match="only 0 of 2"):
-            percentile_bootstrap(data, BootstrapConfig(n_resamples=2, seed=0, min_success_fraction=0.0))
+            percentile_bootstrap(data, BootstrapConfig(n_resamples=2, seed=0))
 
     def test_too_few_successes_raises(self):
+        # 9 of these 60 resamples succeed (test_failed_resamples_counted)
         data = validate_dataset(
             [(1.0, 1, 1), (1.5, 1, 0), (2.0, 1, 1), (2.5, 1, 0), (3.0, 0, 1)]
         )
-        with pytest.raises(EstimationError, match="resamples"):
-            percentile_bootstrap(
-                data, BootstrapConfig(n_resamples=60, seed=17, min_success_fraction=0.99)
-            )
+        with pytest.raises(EstimationError, match="only 9 of 60"):
+            percentile_bootstrap(data, BootstrapConfig(n_resamples=60, seed=17))
 
     @pytest.mark.parametrize(
         "rows",
@@ -192,9 +197,9 @@ class TestPercentileBootstrap:
         data = validate_dataset(rows)
         with pytest.raises(EstimationError):
             nppr_fit(data)
-        # no resample succeeds either; min_success_fraction=0 leaves the raise to the guard
+        # no resample succeeds either; the guard raises before any is drawn
         with pytest.raises(EstimationError, match="original data"):
-            percentile_bootstrap(data, BootstrapConfig(n_resamples=10, seed=1, min_success_fraction=0.0))
+            percentile_bootstrap(data, BootstrapConfig(n_resamples=10, seed=1))
 
 
 def _scalar_resamples(data, cfg):
@@ -253,10 +258,10 @@ class TestBatchedEqualsScalar:
     resample: |dbeta| <= 1e-12 and the same failed resamples."""
 
     @pytest.mark.parametrize("case", list(EQUIVALENCE_CASES), ids=_cumhaz_ids(EQUIVALENCE_CASES))
-    def test_equivalence_gate(self, case):
+    def test_equivalence_gate(self, case, any_success):
         make, n_resamples, seed = EQUIVALENCE_CASES[case]
         data = make()
-        cfg = BootstrapConfig(n_resamples=n_resamples, seed=seed, min_success_fraction=0.0)
+        cfg = BootstrapConfig(n_resamples=n_resamples, seed=seed)
         ref_betas, ref_failed = _scalar_resamples(data, cfg)
         r = percentile_bootstrap(data, cfg)
         assert _batched_failed(data, cfg) == ref_failed
@@ -267,7 +272,7 @@ class TestBatchedEqualsScalar:
         assert abs(nppr_fit(data).estimate.beta - point) <= 1e-12
 
     def test_gate_cases_exercise_failures_and_ties(self):
-        cfg = BootstrapConfig(n_resamples=250, seed=100, min_success_fraction=0.0)
+        cfg = BootstrapConfig(n_resamples=250, seed=100)
         assert _scalar_resamples(_replicate(0.0, 0.7, 50, 0), cfg)[1]
         assert _scalar_resamples(_five_rows(), cfg)[1]
         tied = _tied_data()

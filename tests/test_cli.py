@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import proprisk as pr
-from oracles import km_oracle
+from oracles import km_oracle, scenario_to_dict
 from proprisk.cli import main
 from proprisk.reporting import write_dataset_csv
+from proprisk.survival import validate_dataset
 
 TRIAL = str(Path(pr.__file__).parent / "data" / "synthetic_trial.csv")
 
@@ -212,7 +213,6 @@ class TestParametricCommands:
 
 def _grid_file(tmp_path, kind):
     """A one-scenario grid file: valid, or broken in the way ``kind`` names."""
-    from proprisk.simulate import scenario_to_dict
 
     path = tmp_path / f"{kind}.json"
     obj = scenario_to_dict(pr.default_grid()[2])  # a PR (EU) cell
@@ -271,7 +271,6 @@ class TestSimulateCommand:
         grid = pr.default_grid()
         sc = [s for s in grid if s.n_participants == 50][0]
         path = tmp_path / "scenario.json"
-        from proprisk.simulate import scenario_to_dict
 
         path.write_text(json.dumps([scenario_to_dict(sc)]))
         out_dir = tmp_path / "out"
@@ -316,7 +315,6 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
     def test_rejects_multi_scenario_file(self, tmp_path):
-        from proprisk.simulate import scenario_to_dict
 
         grid = pr.default_grid()[:2]
         path = tmp_path / "two.json"
@@ -351,7 +349,6 @@ class TestStudyCommand:
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     def test_small_grid(self, tmp_path):
-        from proprisk.simulate import scenario_to_dict
 
         grid = [pr.make_scenario(pr.Model.PPR_EU, 0.0, 0.5, 40, seed=0),
                 pr.make_scenario(pr.Model.WEIBULL_PH, 0.5, 0.3, 40, seed=0)]
@@ -366,7 +363,6 @@ class TestStudyCommand:
         assert rows[2][0] == "weibull_ph"
 
     def test_deterministic(self, tmp_path):
-        from proprisk.simulate import scenario_to_dict
 
         grid = [pr.make_scenario(pr.Model.PPR_EU, 0.25, 0.3, 30, seed=0)]
         path = tmp_path / "grid.json"
@@ -399,7 +395,7 @@ class TestPlotData:
             path = TRIAL
         else:
             path = str(tmp_path / "equal.csv")
-            write_dataset_csv(pr.validate_dataset(
+            write_dataset_csv(validate_dataset(
                 [(t, s, g) for g in (1, 0) for t, s in [(1.0, 1), (2.0, 1), (3.0, 0)]]), path)
         _, delimited = run_cli("fit", "--data", path, "--bootstrap", "0", "--format", "delimited")
         _, structured = run_cli("fit", "--data", path, "--bootstrap", "0", "--format", "structured")
@@ -440,7 +436,7 @@ class TestPlotData:
         # but the Kaplan-Meier CDFs exist
         rows = [(1.0, 1, 1), (2.0, 1, 1), (3.0, 0, 1), (4.0, 1, 0), (5.0, 1, 0), (6.0, 0, 0)]
         path = str(tmp_path / "disjoint.csv")
-        write_dataset_csv(pr.validate_dataset(rows), path)
+        write_dataset_csv(validate_dataset(rows), path)
         assert run_cli("fit", "--data", path, "--bootstrap", "0")[0] == 3
         code, out = run_cli("plotdata", "--data", path, "--series", "cdf")
         assert code == 0

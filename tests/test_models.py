@@ -5,24 +5,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from proprisk import (
-    Dataset,
-    EstimationError,
+from proprisk import Dataset, EstimationError, cox_two_group, fit_ppr, nppr_fit
+from proprisk.models import (
     EuParams,
     WeibullPhParams,
-    cox_two_group,
-    eu_cdf,
     eu_log_likelihood,
     eu_quantile,
-    fit_ppr,
-    nppr_fit,
-    validate_dataset,
-    weibull_ph_cdf,
     weibull_ph_quantile,
 )
+from proprisk.survival import validate_dataset
 import proprisk.models as models
 
-from oracles import cox_grid_oracle, cox_partial_loglik, cox_score_root_oracle, eu_delta_half_width_oracle
+from oracles import (
+    cox_grid_oracle,
+    cox_partial_loglik,
+    cox_score_root_oracle,
+    eu_cdf,
+    eu_delta_half_width_oracle,
+    weibull_ph_cdf,
+)
 
 EU = EuParams(0.859, 0.005, 0.009)
 WEIB = WeibullPhParams(0.916, 145.575, 88.296)

@@ -5,17 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proprisk import (
-    Dataset,
-    EstimationError,
+from proprisk import Dataset, EstimationError, nppr_fit, risk_difference_curve
+from proprisk.nppr import (
     NpprEstimate,
     build_event_time_set,
-    nppr_fit,
     nppr_point_estimate,
     pointwise_log_rr,
-    risk_difference_curve,
-    validate_dataset,
 )
+from proprisk.survival import validate_dataset
 
 from oracles import nppr_oracle
 

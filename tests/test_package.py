@@ -1,9 +1,14 @@
-"""Package-level guards: what ``import proprisk`` loads, the names the
-benchmark's tracer wraps, and the script that regenerates the bundled trial."""
+"""Package-level guards: what ``import proprisk`` loads and exports, the
+README's Python block, the names the benchmark calls and its tracer wraps,
+and the script that regenerates the bundled trial."""
+import dataclasses
 import importlib
 import importlib.util
+import json
 import os
+import re
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +17,74 @@ import pytest
 
 import proprisk
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+README = (ROOT / "README.md").read_text()
+
+
+def _readme_section(heading):
+    return README.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_python_block():
+    return _readme_section("Python API").split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_exports():
+    """The names the README's "Python API" section lists, before its code block."""
+    listed = _readme_section("Python API").split("```", 1)[0]
+    bullets = [line for line in listed.splitlines() if line.startswith(("* ", "  "))]
+    return re.findall(r"`([A-Za-z_]\w*)`", "\n".join(bullets))
+
+
+def test_all_is_the_documented_list():
+    assert len(proprisk.__all__) == len(set(proprisk.__all__)) == 26
+    assert sorted(proprisk.__all__) == sorted(_readme_exports())
+
+
+def test_star_import_gives_exactly_all():
+    namespace = {}
+    exec("from proprisk import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(proprisk.__all__)
+
+
+def test_readme_python_block_runs(tmp_path, monkeypatch):
+    block = _readme_python_block()
+    # the block uses exported names only
+    assert set(re.findall(r"\bpr\.(\w+)", block)) <= set(proprisk.__all__)
+    shutil.copy(Path(proprisk.__file__).parent / "data" / "synthetic_trial.csv", tmp_path / "trial.csv")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert json.loads(proprisk.report_to_json(namespace["doc"])) == namespace["doc"]
+    assert namespace["result"].n_runs == 1000
+
+
+def test_readme_lists_the_grid_file_fields():
+    fields = re.findall(r"^  - `(\w+)`", _readme_section("CLI"), flags=re.M)
+    assert fields == [f.name for f in dataclasses.fields(proprisk.Scenario)]
+
+
+def _resolve(dotted):
+    """The object a dotted ``proprisk.`` reference names; a submodule that
+    ``import proprisk`` does not load is imported."""
+    obj, path = proprisk, "proprisk"
+    for part in dotted.split(".")[1:]:
+        path = f"{path}.{part}"
+        obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(path)
+    return obj
+
+
+def _perfbench_references():
+    return sorted({ref for f in (ROOT / "perfbench").glob("*.py")
+                   for ref in re.findall(r"\bproprisk(?:\.\w+)+", f.read_text())})
+
+
+@pytest.mark.parametrize("dotted", _perfbench_references())
+def test_perfbench_references_resolve(dotted):
+    # an export cut would break the benchmark only when it runs
+    _resolve(dotted)
 
 
 def _tracing_module():

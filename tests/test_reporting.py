@@ -14,12 +14,13 @@ from proprisk.reporting import (
     report_to_json,
     write_dataset_csv,
 )
+from proprisk.survival import validate_dataset
 
 
 def _dataset():
     rows = [(1.0, 1, 1), (1.5, 1, 0), (2.0, 1, 1), (2.5, 1, 0),
             (3.0, 0, 1), (4.0, 1, 0), (5.0, 1, 1), (6.0, 0, 0)]
-    return pr.validate_dataset(rows)
+    return validate_dataset(rows)
 
 
 def _report(with_ci=True):
@@ -91,7 +92,7 @@ class TestReportSerialization:
     def test_nan_nnt_serializes_as_null(self):
         rows = [(t, s, 1) for t, s in [(1.0, 1), (2.0, 1), (3.0, 0)]]
         rows += [(t, s, 0) for t, s in [(1.0, 1), (2.0, 1), (3.0, 0)]]
-        data = pr.validate_dataset(rows)
+        data = validate_dataset(rows)
         report = build_report(pr.nppr_fit(data), None)
         assert report["rd_nnt_series"]["rd"][0] == 0.0
         assert report["rd_nnt_series"]["nnt"][0] is None
@@ -156,7 +157,7 @@ class TestEmitFormats:
     def test_null_effect_rr_one_in_all_formats(self):
         rows = [(t, s, g) for g in (0, 1) for t, s in
                 [(1.0, 1), (2.0, 1), (3.0, 0), (4.0, 1)]]
-        report = build_report(pr.nppr_fit(pr.validate_dataset(rows)), None)
+        report = build_report(pr.nppr_fit(validate_dataset(rows)), None)
         assert json.loads(report_to_json(report))["rr"] == 1.0
         rr_line = [l for l in emit_report(report, "table").splitlines() if "exp(-beta)" in l][0]
         assert rr_line.split(":")[1].strip().split()[0] == "1"

@@ -6,27 +6,30 @@ import pytest
 from scipy import integrate, special, stats
 
 import proprisk as pr
+from proprisk.models import EuParams, WeibullPhParams, eu_quantile, weibull_ph_quantile
 from proprisk.simulate import (
     EFFECTS,
     Model,
     CENSOR_RATES,
     SAMPLE_SIZES,
     _gammainc,
+    calibrate_censoring,
+    censoring_probability,
     default_grid,
+    load_grid,
     reseed,
     scenario_from_dict,
-    scenario_to_dict,
     simulate_replicates,
     standard_params,
 )
 
-from oracles import simulate_oracle
+from oracles import eu_cdf, scenario_to_dict, simulate_oracle, weibull_ph_cdf
 
 
 def _quad_censoring_probability(model, p, c):
     """(1/c) * integral_0^c S_mix by adaptive quadrature, breaking at the EU
     support ends, at a tolerance far below the closed form's gate."""
-    cdf = pr.eu_cdf if model is Model.PPR_EU else pr.weibull_ph_cdf
+    cdf = eu_cdf if model is Model.PPR_EU else weibull_ph_cdf
     points = None
     if model is Model.PPR_EU:
         points = [e for e in (1.0 / p.theta1, 1.0 / p.theta0) if 0.0 < e < c] or None
@@ -76,58 +79,58 @@ PINNED_CMAX = {
 class TestCalibration:
     def test_uniform_closed_form(self):
         # iid U(0,100): P(C < T) = 1/2, so calibrate(0.5) must return 100
-        p = pr.EuParams(1.0, 0.01, 0.01)
-        assert pr.censoring_probability(Model.PPR_EU, p, 100.0) == pytest.approx(0.5, abs=1e-10)
-        assert pr.calibrate_censoring(Model.PPR_EU, p, 0.5) == pytest.approx(100.0, abs=1e-4)
+        p = EuParams(1.0, 0.01, 0.01)
+        assert censoring_probability(Model.PPR_EU, p, 100.0) == pytest.approx(0.5, abs=1e-10)
+        assert calibrate_censoring(Model.PPR_EU, p, 0.5) == pytest.approx(100.0, abs=1e-4)
 
     def test_monotone_in_cmax(self):
         p = standard_params(Model.PPR_EU, 0.5)
-        probs = [pr.censoring_probability(Model.PPR_EU, p, c) for c in (20, 60, 150, 400)]
+        probs = [censoring_probability(Model.PPR_EU, p, c) for c in (20, 60, 150, 400)]
         assert all(a > b for a, b in zip(probs, probs[1:]))
 
     def test_achieves_target(self):
         for model in (Model.PPR_EU, Model.WEIBULL_PH):
             p = standard_params(model, 0.25)
-            c = pr.calibrate_censoring(model, p, 0.3)
-            assert pr.censoring_probability(model, p, c) == pytest.approx(0.3, abs=1e-4)
+            c = calibrate_censoring(model, p, 0.3)
+            assert censoring_probability(model, p, c) == pytest.approx(0.3, abs=1e-4)
 
     def test_monte_carlo_oracle(self):
         # 1e6 draws from the null-scenario mixture reproduce the calibrated rate
         p = standard_params(Model.PPR_EU, 0.0)
-        c = pr.calibrate_censoring(Model.PPR_EU, p, 0.30)
+        c = calibrate_censoring(Model.PPR_EU, p, 0.30)
         rng = np.random.default_rng(314159)
         u = rng.random((2, 1_000_000))
         grp = (rng.random(1_000_000) > 0.5).astype(int)
-        t = np.where(grp == 1, pr.eu_quantile(p, 1, u[0]), pr.eu_quantile(p, 0, u[0]))
+        t = np.where(grp == 1, eu_quantile(p, 1, u[0]), eu_quantile(p, 0, u[0]))
         censored = (c * u[1]) < t
         assert censored.mean() == pytest.approx(0.30, abs=0.005 * 0.30 + 3e-3)
 
     def test_bad_target(self):
         with pytest.raises(ValueError):
-            pr.calibrate_censoring(Model.PPR_EU, standard_params(Model.PPR_EU, 0.0), 1.5)
+            calibrate_censoring(Model.PPR_EU, standard_params(Model.PPR_EU, 0.0), 1.5)
 
     def test_unreachable_target(self):
         # support end 1/theta = 1e13: every c_max up to 1e12 censors about 95%
         with pytest.raises(ValueError, match="censoring target unreachable"):
-            pr.calibrate_censoring(Model.PPR_EU, pr.EuParams(1.0, 1e-13, 1e-13), 0.3)
+            calibrate_censoring(Model.PPR_EU, EuParams(1.0, 1e-13, 1e-13), 0.3)
 
     def test_target_above_the_lower_bracket_end(self):
         # even c_max = 1e-8 censors less than this target
         with pytest.raises(ValueError, match="censoring target unreachable"):
-            pr.calibrate_censoring(Model.PPR_EU, standard_params(Model.PPR_EU, 0.0), 0.999999999999)
+            calibrate_censoring(Model.PPR_EU, standard_params(Model.PPR_EU, 0.0), 0.999999999999)
 
     @pytest.mark.parametrize("params", [
-        pr.EuParams(-1.0, 0.005, 0.009),
-        pr.EuParams(0.859, 0.0, 0.009),
-        pr.EuParams(0.859, 0.005, math.inf),
-        pr.WeibullPhParams(0.916, 0.0, 88.296),
-        pr.WeibullPhParams(-0.916, 145.575, 88.296),
-        pr.WeibullPhParams(0.916, 145.575, math.nan),
+        EuParams(-1.0, 0.005, 0.009),
+        EuParams(0.859, 0.0, 0.009),
+        EuParams(0.859, 0.005, math.inf),
+        WeibullPhParams(0.916, 0.0, 88.296),
+        WeibullPhParams(-0.916, 145.575, 88.296),
+        WeibullPhParams(0.916, 145.575, math.nan),
     ])
     def test_non_positive_parameter_rejected(self, params):
-        model = Model.PPR_EU if isinstance(params, pr.EuParams) else Model.WEIBULL_PH
+        model = Model.PPR_EU if isinstance(params, EuParams) else Model.WEIBULL_PH
         with pytest.raises(ValueError, match="must be positive and finite"):
-            pr.calibrate_censoring(model, params, 0.3)
+            calibrate_censoring(model, params, 0.3)
 
     def test_closed_form_matches_quadrature(self):
         # c from 0.1x to 20x each grid c_max: both sides of every EU support
@@ -137,7 +140,7 @@ class TestCalibration:
         sides, branches = set(), set()
         for (model, _, _), (p, c_max) in cells.items():
             for c in c_max * np.geomspace(0.1, 20.0, 15):
-                got = pr.censoring_probability(model, p, c)
+                got = censoring_probability(model, p, c)
                 assert got == pytest.approx(_quad_censoring_probability(model, p, c), rel=0, abs=1e-13)
                 if model is Model.PPR_EU:
                     sides.update((g, c > 1.0 / p.theta(g)) for g in (0, 1))
@@ -195,11 +198,11 @@ class TestSimulateDataset:
             rng = np.random.default_rng(271828)
             u = rng.random(1_000_000)
             if model is Model.PPR_EU:
-                draws = pr.eu_quantile(p, 1, u)
-                cdf = lambda x: pr.eu_cdf(p, 1, x)
+                draws = eu_quantile(p, 1, u)
+                cdf = lambda x: eu_cdf(p, 1, x)
             else:
-                draws = pr.weibull_ph_quantile(p, 1, u)
-                cdf = lambda x: pr.weibull_ph_cdf(p, 1, x)
+                draws = weibull_ph_quantile(p, 1, u)
+                cdf = lambda x: weibull_ph_cdf(p, 1, x)
             ks = stats.kstest(draws, cdf).statistic
             assert ks < 0.002
 
@@ -215,9 +218,9 @@ class TestSimulateDataset:
             )
             u = rng.random((3, sc.n_participants))
             grp = (u[0] > 0.5).astype(int)
-            draws.append(pr.weibull_ph_quantile(p, 1, u[1][grp == 1]))
+            draws.append(weibull_ph_quantile(p, 1, u[1][grp == 1]))
         draws = np.concatenate(draws)
-        pv = stats.kstest(draws, lambda x: pr.weibull_ph_cdf(p, 1, x)).pvalue
+        pv = stats.kstest(draws, lambda x: weibull_ph_cdf(p, 1, x)).pvalue
         assert pv > 0.01
 
     @pytest.mark.parametrize("model", [Model.PPR_EU, Model.WEIBULL_PH])
@@ -227,7 +230,7 @@ class TestSimulateDataset:
         rng = np.random.default_rng(np.random.SeedSequence(sc.seed, spawn_key=(0, 0)))
         u = rng.random((3, 300))
         grp = (u[0] > 0.5).astype(int)
-        quantile = pr.eu_quantile if model is Model.PPR_EU else pr.weibull_ph_quantile
+        quantile = eu_quantile if model is Model.PPR_EU else weibull_ph_quantile
         t = np.where(grp == 1, quantile(sc.params, 1, u[1]), quantile(sc.params, 0, u[1]))
         c = sc.censor_cmax * u[2]
         np.testing.assert_array_equal(d.status, (t <= c).astype(int))
@@ -258,11 +261,11 @@ class TestGridSerialization:
         sc = pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 60, seed=2)
         path = tmp_path / "grid.json"
         path.write_text(json.dumps([scenario_to_dict(sc)]))
-        assert pr.load_grid(path) == [sc]
+        assert load_grid(path) == [sc]
         obj = dict(scenario_to_dict(sc), n_participants=0)
         path.write_text(json.dumps(obj))
         with pytest.raises(pr.ValidationError, match=r"grid\.json: n_participants must be at least 1"):
-            pr.load_grid(path)
+            load_grid(path)
 
     @pytest.mark.parametrize("change, message", [
         ({"params": {"alpha": -1.0}}, "model parameter alpha must be positive"),
@@ -278,7 +281,7 @@ class TestGridSerialization:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([obj]))
         with pytest.raises(pr.ValidationError, match=rf"bad\.json: {message}"):
-            pr.load_grid(path)
+            load_grid(path)
 
     def test_load_grid_rejects_zero_weibull_scale(self, tmp_path):
         obj = scenario_to_dict(pr.make_scenario(Model.WEIBULL_PH, 0.5, 0.3, 60, seed=2))
@@ -286,7 +289,7 @@ class TestGridSerialization:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(pr.ValidationError, match=r"bad\.json: model parameter lambda1 must be positive"):
-            pr.load_grid(path)
+            load_grid(path)
 
     def test_default_grid_shape(self):
         grid = default_grid()
@@ -314,10 +317,10 @@ class TestGridSerialization:
     def test_default_grid_table_parameters(self):
         grid = default_grid()
         eu = {s.effect_beta: s.params for s in grid if s.model is Model.PPR_EU}
-        assert eu[0.5] == pr.EuParams(0.859, 0.005, 0.009)
-        assert eu[-0.5] == pr.EuParams(0.859, 0.016, 0.009)
+        assert eu[0.5] == EuParams(0.859, 0.005, 0.009)
+        assert eu[-0.5] == EuParams(0.859, 0.016, 0.009)
         wb = {s.effect_beta: s.params for s in grid if s.model is Model.WEIBULL_PH}
-        assert wb[0.25] == pr.WeibullPhParams(0.916, 113.374, 88.296)
+        assert wb[0.25] == WeibullPhParams(0.916, 113.374, 88.296)
 
     def test_reseed_distinct_and_deterministic(self):
         grid = default_grid()[:5]

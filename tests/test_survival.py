@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from types import SimpleNamespace
 
-from proprisk import Dataset, ValidationError, kaplan_meier, validate_dataset
-from proprisk.survival import cell_codes, event_grid, events_at_risk
+from proprisk import Dataset, ValidationError
+from proprisk.survival import cell_codes, event_grid, events_at_risk, kaplan_meier, validate_dataset
 
 from oracles import event_grid_oracle, km_oracle
 
