@@ -73,6 +73,7 @@ from .survival import ConfidenceInterval, Dataset, event_grid
 CHUNK_CELLS = 8192
 # Smallest share of resamples that must succeed; below it the bootstrap raises.
 MIN_SUCCESS_FRACTION = 0.5
+MAX_RESAMPLES = 2**32  # a child's index is one uint32 word
 
 # SeedSequence's hash and mix constants (numpy/random/bit_generator.pyx)
 # and PCG64's 128-bit LCG multiplier.
@@ -117,7 +118,7 @@ def resample_rows(seed: int, n: int, n_resamples: int, chunk: int):
     (chunk, n) array: resample i is
     default_rng(SeedSequence(seed).spawn(n_resamples)[i]).integers(0, n, size=n),
     computed without building either (see Randomness above)."""
-    if not 0 < n < 2**32 or n_resamples > 2**32:
+    if not 0 < n < 2**32 or n_resamples > MAX_RESAMPLES:
         raise ValueError("resample size and count must be below 2**32")
     # a child's pool before its index is mixed in is the parent's, which took
     # 4 hash steps per word of its entropy (at least 4 words)
@@ -156,6 +157,8 @@ class BootstrapConfig:
                 raise ValueError(f"{name} must be an integer") from None
         if self.n_resamples < 2:
             raise ValueError("n_resamples must be >= 2")
+        if self.n_resamples > MAX_RESAMPLES:
+            raise ValueError("n_resamples must be at most 2**32")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must be in (0, 1)")
         if self.seed < 0:

@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .bootstrap import BootstrapConfig, percentile_bootstrap
+from .bootstrap import MAX_RESAMPLES, BootstrapConfig, percentile_bootstrap
 from .errors import EstimationError, ValidationError
 from .models import cox_two_group, fit_ppr
 from .nppr import nppr_fit
@@ -46,8 +46,8 @@ EXIT_CONVERGENCE = 4
 def _cmd_fit(args) -> int:
     if not 0.0 < args.level < 1.0:
         raise ValidationError("--level must be in (0, 1)")
-    if args.bootstrap < 0 or args.bootstrap == 1:
-        raise ValidationError("--bootstrap must be 0 (no interval) or at least 2")
+    if args.bootstrap != 0 and not 2 <= args.bootstrap <= MAX_RESAMPLES:
+        raise ValidationError("--bootstrap must be 0 (no interval) or from 2 to 2**32")
     _check_seed(args)
     data = read_dataset_csv(args.data)
     result = nppr_fit(data)
@@ -128,8 +128,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    if args.bootstrap < 2:
-        raise ValidationError("--bootstrap must be at least 2")
+    if not 2 <= args.bootstrap <= MAX_RESAMPLES:
+        raise ValidationError("--bootstrap must be from 2 to 2**32")
     _check_reps_seed(args)
     scenarios = default_grid() if args.grid == "default" else load_grid(args.grid)
     scenarios = reseed(scenarios, args.seed)

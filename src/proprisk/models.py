@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .survival import ConfidenceInterval, Dataset, event_grid, events_at_risk
+from .survival import ConfidenceInterval, Dataset, event_grid, events_at_risk, tie_order
 
 LEVEL = 0.95  # confidence level of the Wald intervals of the EU and Cox fits
 Z = NormalDist().inv_cdf(0.5 + LEVEL / 2.0)  # their half-width in standard errors
@@ -121,25 +121,33 @@ def _exp(x: float) -> float:
         return math.inf
 
 
+def beta_interval(alpha: float, theta1: float, theta0: float, var_beta: float) -> tuple[float, float, float]:
+    """beta = -alpha*log(theta1/theta0), NaN where the log fails, and the
+    endpoints beta -/+ Z*sqrt(var_beta) of its Wald interval. The one rule
+    for the fits and the study, so their floats agree bit for bit."""
+    try:
+        beta = -(alpha * math.log(theta1 / theta0))
+    except (ValueError, ZeroDivisionError):
+        beta = math.nan
+    half = Z * math.sqrt(var_beta)
+    return beta, beta - half, beta + half
+
+
 def _ppr_fit(
     params: EuParams,
     loglik: float,
     converged: bool,
     reason: str = "",
-    half: float = math.nan,
+    var_beta: float = math.nan,
     ci_reason: str = "",
 ) -> PprFit:
-    """The fit at ``params``; beta's interval is [beta - half, beta + half],
-    NaN without a half-width."""
-    try:
-        log_rr = params.alpha * math.log(params.theta1 / params.theta0)
-    except (ValueError, ZeroDivisionError):
-        log_rr = math.nan
+    """The fit at ``params``; beta's interval is NaN without a variance."""
+    beta, lower, upper = beta_interval(params.alpha, params.theta1, params.theta0, var_beta)
     return PprFit(
         params=params,
-        beta=-log_rr,
-        rr=_exp(log_rr),
-        ci_beta=ConfidenceInterval(-log_rr - half, -log_rr + half, LEVEL),
+        beta=beta,
+        rr=_exp(-beta),
+        ci_beta=ConfidenceInterval(lower, upper, LEVEL),
         converged=converged,
         loglik=loglik,
         reason=reason,
@@ -147,19 +155,23 @@ def _ppr_fit(
     )
 
 
-class _Units(NamedTuple):
-    """The groups of a batch of EU fits, two units per lane (its group 1,
-    then its group 0), in the coordinates of :func:`_profile`."""
+class Lanes(NamedTuple):
+    """EU fits prepared for :func:`solve_lanes`, one lane per fit, and
+    two units per lane (its group 1, then its group 0) in the coordinates
+    of :func:`_profile`. Lanes of several batches, their rows numbered
+    apart, join field by field (np.concatenate)."""
 
-    d: np.ndarray  # (U,) events
-    e_rel: np.ndarray  # (U,) sum of log(t/t_max) over the events
-    r_min: np.ndarray  # (U,) the smallest r, +inf without censored rows
-    count: np.ndarray  # (U,) censored rows
+    rows: np.ndarray  # (L,) the batch row of each lane
+    bound: np.ndarray  # (L, 2) the support bounds 1/max(t_1) and 1/max(t_0)
+    log_ratio: np.ndarray  # (L,) log(max t_1 / max t_0)
+    d: np.ndarray  # (2L,) events
+    e_rel: np.ndarray  # (2L,) sum of log(t/t_max) over the events
+    r_min: np.ndarray  # (2L,) the smallest r, +inf without censored rows
+    count: np.ndarray  # (2L,) censored rows
     r: np.ndarray  # (count.sum(),) log(t_max/t) of the censored rows, unit after unit
-    lane: np.ndarray  # (count.sum(),) the lane of each censored row
 
 
-def _unit_rows(units: _Units, lanes: np.ndarray):
+def _unit_rows(units: Lanes, lanes: np.ndarray):
     """The units of the lanes ``lanes`` (ascending), their censored rows'
     r, the position of each row's unit, and the function that sums values
     (..., rows) over each unit's rows, 0.0 for a unit without rows.
@@ -169,8 +181,8 @@ def _unit_rows(units: _Units, lanes: np.ndarray):
     depend on the rest of its batch (a row sum over zero-padded rows would).
     """
     sel = (2 * lanes[:, None] + np.arange(2)).ravel()
-    keep = np.zeros(units.d.shape[0] // 2, dtype=bool)
-    keep[lanes] = True
+    keep = np.zeros(units.d.shape[0], dtype=bool)
+    keep[sel] = True
     count = units.count[sel]
     full = count > 0
     starts = (np.cumsum(count) - count)[full]
@@ -180,10 +192,10 @@ def _unit_rows(units: _Units, lanes: np.ndarray):
         out[..., full] = np.add.reduceat(values, starts, axis=-1)
         return out
 
-    return sel, units.r[keep[units.lane]], np.repeat(np.arange(sel.shape[0]), count), sums
+    return sel, units.r[np.repeat(keep, units.count)], np.repeat(np.arange(sel.shape[0]), count), sums
 
 
-def _profile(units: _Units, alpha: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _profile(units: Lanes, alpha: np.ndarray, lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maximize each group's EU log-likelihood over theta at a fixed alpha,
     for the lanes ``lanes`` (ascending) at their alpha (k,).
 
@@ -200,37 +212,49 @@ def _profile(units: _Units, alpha: np.ndarray, lanes: np.ndarray) -> tuple[np.nd
     The groups run Newton in lockstep, each a masked lane over the flat
     censored rows: a group stops at the iteration where its own loop would
     stop and keeps that iteration's h, so its result does not depend on the
-    other groups. Returns ``(w, dl/dalpha)`` at the maximum, each (k, 2).
-    The bound on w does not move with alpha, so the alpha-derivative there
-    is also the derivative of the profile log-likelihood (envelope theorem).
+    other groups. Only the rows of lanes with a running group are
+    evaluated; most groups of a large sample stop at once, on the bound.
+    Returns ``(w, dl/dalpha)`` at the maximum, each (k, 2). The bound on w
+    does not move with alpha, so the alpha-derivative there is also the
+    derivative of the profile log-likelihood (envelope theorem).
     """
-    sel, r, at, sums = _unit_rows(units, lanes)
     a = np.repeat(alpha, 2)
+    sel = (2 * lanes[:, None] + np.arange(2)).ravel()
     d = units.d[sel]
     dl_base = d / a + units.e_rel[sel]
-    s = -a[at] * r
     # sum h >= max h, which reaches d here, so the score is <= 0 at the start;
     # max s is -alpha*r_min, and a group without censored rows starts (and stays) at 0
     w = np.minimum(0.0, np.log(d / (d + 1.0)) - (-a * units.r_min[sel]))
     dl = np.zeros_like(w)
     running = np.ones(w.shape, dtype=bool)
-    terms = np.empty((3,) + r.shape)  # h, h*(1 + h), r*h
-    h = terms[0]
-    # stopped groups keep being evaluated, at points their own loop never reaches
+    live = None  # the lanes whose rows are evaluated
+    # a stopped group of a live lane keeps being evaluated, at points its own loop never reaches
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(100):
-            np.divide(1.0, np.expm1(-(w[at] + s)), out=h)
+            # drop the lanes without a running group once they are at least half of the live ones
+            if live is None or 2 * np.count_nonzero(keep) <= keep.shape[0]:
+                live = np.arange(lanes.shape[0]) if live is None else live[keep]
+                u = (2 * live[:, None] + np.arange(2)).ravel()
+                r, at, sums = _unit_rows(units, lanes[live])[1:]
+                s = -a[u][at] * r
+                terms = np.empty((3,) + r.shape)  # h, h*(1 + h), r*h
+                h = terms[0]
+            wu = w[u]
+            np.divide(1.0, np.expm1(-(wu[at] + s)), out=h)
             np.multiply(h, 1.0 + h, out=terms[1])
             np.multiply(r, h, out=terms[2])
             sum_h, sum_c, sum_rh = sums(terms)
-            score = d - sum_h
-            dl = np.where(running, dl_base + sum_rh, dl)
-            running &= ~(score >= 0.0)
+            score = d[u] - sum_h
+            go = running[u]
+            dl[u] = np.where(go, dl_base[u] + sum_rh, dl[u])
+            go &= ~(score >= 0.0)
             step = score / sum_c
-            w = np.where(running, w + step, w)
-            running &= ~(-step < 1e-13)
-            if not running.any():
+            w[u] = np.where(go, wu + step, wu)
+            go &= ~(-step < 1e-13)
+            running[u] = go
+            if not go.any():
                 break
+            keep = go.reshape(-1, 2).any(axis=1)
     return w.reshape(-1, 2), dl.reshape(-1, 2)
 
 
@@ -299,7 +323,7 @@ def _brentq(f, a, b, fa, fb, xtol: float, rtol: float = 4 * np.finfo(float).eps,
     return root
 
 
-def _solve_log_alpha(units: _Units) -> np.ndarray:
+def _solve_log_alpha(units: Lanes) -> np.ndarray:
     """The root in log(alpha) of each lane's profile derivative, NaN where
     the profile likelihood still increases at alpha = e^50.
 
@@ -336,7 +360,7 @@ def _solve_log_alpha(units: _Units) -> np.ndarray:
     return log_alpha
 
 
-def _beta_variance(units: _Units, alpha: np.ndarray, w: np.ndarray, lanes: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
+def _beta_variance(units: Lanes, alpha: np.ndarray, w: np.ndarray, lanes: np.ndarray) -> np.ndarray:
     """Variance of beta from the observed information in (alpha, w_1, w_0)
     at an interior maximum, for the lanes ``lanes``; off the bound every
     group has censored rows."""
@@ -351,72 +375,105 @@ def _beta_variance(units: _Units, alpha: np.ndarray, w: np.ndarray, lanes: np.nd
     info[:, 0, 2] = info[:, 2, 0] = -s_rc[:, 1]
     info[:, 1, 1], info[:, 2, 2] = s_c[:, 0], s_c[:, 1]
     # beta = w0 - w1 + alpha*log(max t_1/max t_0) is linear in these coordinates
+    log_ratio = units.log_ratio[lanes]
     grad = np.stack((log_ratio, -np.ones_like(log_ratio), np.ones_like(log_ratio)), axis=1)
     sol = np.linalg.solve(info, grad[..., None])[..., 0]
     return grad[:, 0] * sol[:, 0] + grad[:, 1] * sol[:, 1] + grad[:, 2] * sol[:, 2]
 
 
-def fit_ppr_batch(time, status, group) -> list[PprFit]:
-    """:func:`fit_ppr` of each row of the (R, n) arrays, the fits run in lockstep.
+def prepare_lanes(time, status, group) -> tuple[tuple[np.ndarray, ...], list[tuple[int, EuParams, str]], Lanes]:
+    """The EU fits of the rows of the (R, n) arrays, up to the lockstep solve.
 
-    Each row is a lane. The per-group Newton, the doubling bracket in log
-    alpha and Brent's method are masked array steps over the lanes, and
-    every sum over a lane's rows is its own segment of a flat array, so a
-    lane's fit does not depend on the rest of the batch: it equals
-    ``fit_ppr`` on that row alone, bit for bit.
+    Returns the columns in each row's canonical order, the rows that fail
+    before the solve as (row, start point, reason), and the lanes of the
+    other rows, in row order.
     """
     # canonical row order makes each fit exactly invariant to its rows' order
-    order = np.lexsort((status, group, time), axis=-1)
-    time, status, group = (np.take_along_axis(np.asarray(c), order, axis=-1) for c in (time, status, group))
-    fits: list[PprFit | None] = [None] * time.shape[0]
-    lanes, groups = [], []
+    time, status, group = np.asarray(time), np.asarray(status), np.asarray(group)
+    order = tie_order(time, 2 * group + status, 4)
+    time, status, group = (np.take_along_axis(c, order, axis=-1) for c in (time, status, group))
+    failed, rows, bound, log_ratio, units = [], [], [], [], []
     for i, (t, s, g) in enumerate(zip(time, status, group)):
-        (t1, s1), (t0, s0) = (t[g == 1], s[g == 1]), (t[g == 0], s[g == 0])
+        # a group's times ascend, so its last is its largest
+        (t1, e1), (t0, e0) = ((t[m], s[m] == 1) for m in (g == 1, g == 0))
         if not (t1.size and t0.size):
-            fits[i] = _ppr_fit(EuParams(1.0, 1.0, 1.0), math.nan, False, "a group is empty")
+            failed.append((i, EuParams(1.0, 1.0, 1.0), "a group is empty"))
             continue
-        bounds = (1.0 / float(t1.max()), 1.0 / float(t0.max()))
-        start = EuParams(1.0, 0.9 * bounds[0], 0.9 * bounds[1])
-        events = (np.count_nonzero(s1 == 1), np.count_nonzero(s0 == 1))
+        bounds = (1.0 / float(t1[-1]), 1.0 / float(t0[-1]))
+        events = (np.count_nonzero(e1), np.count_nonzero(e0))
         if not all(events):
-            reason = "a group has no events" if any(events) else "no events"
-            fits[i] = _ppr_fit(start, math.nan, False, reason)
+            failed.append((i, _start(bounds), "a group has no events" if any(events) else "no events"))
             continue
-        lanes.append((i, start, bounds, math.log(float(t1.max() / t0.max()))))
+        rows.append(i)
+        bound.append(bounds)
+        log_ratio.append(math.log(float(t1[-1]) / float(t0[-1])))
         # kept per group: reduceat sums sequentially where .sum() is pairwise; np.log may differ from math.log
-        for tg, sg, d in ((t1, s1, events[0]), (t0, s0, events[1])):
-            log_rel = np.log(tg) - math.log(float(tg.max()))
-            r = -log_rel[sg == 0]
-            groups.append((d, float(log_rel[sg == 1].sum()), r.min() if r.size else math.inf, r))
-    if not lanes:
-        return fits
+        for tg, eg, d in ((t1, e1, events[0]), (t0, e0, events[1])):
+            log_rel = np.log(tg) - math.log(float(tg[-1]))
+            r = -log_rel[~eg]
+            units.append((d, float(log_rel[eg].sum()), r.min() if r.size else math.inf, r))
+    d, e_rel, r_min, r = zip(*units) if units else ((),) * 4
+    count = np.array([x.shape[0] for x in r], dtype=np.int64)
+    lanes = Lanes(np.array(rows, dtype=np.int64), np.array(bound).reshape(-1, 2), np.array(log_ratio),
+                  *(np.array(x, dtype=float) for x in (d, e_rel, r_min)), count, np.concatenate((np.empty(0), *r)))
+    return (time, status, group), failed, lanes
 
-    d, e_rel, r_min, r = zip(*groups)
-    count = np.array([x.shape[0] for x in r])
-    lane = np.repeat(np.arange(count.shape[0]) // 2, count)
-    units = _Units(np.array(d, dtype=float), np.array(e_rel), np.array(r_min), count, np.concatenate(r), lane)
+
+def _start(bounds) -> EuParams:
+    """The search's start point, reported by a fit without a maximum."""
+    return EuParams(1.0, 0.9 * bounds[0], 0.9 * bounds[1])
+
+
+def solve_lanes(units: Lanes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The EU maxima of the prepared lanes, in lockstep: per lane alpha
+    (NaN where the likelihood still increases as alpha grows), theta (L, 2)
+    of groups 1 and 0, whether a group's estimate sits on its support
+    bound, and the variance of beta (NaN on the bound or without a maximum).
+
+    Every sum over a lane is its own segment (:func:`_unit_rows`), so a
+    lane's numbers do not depend on the other lanes it is solved with.
+    """
     log_alpha = _solve_log_alpha(units)
     alpha = np.exp(log_alpha)
     bounded = np.flatnonzero(~np.isnan(log_alpha))
-    w = np.full((len(lanes), 2), math.nan)
+    w = np.full((alpha.shape[0], 2), math.nan)
     w[bounded] = _profile(units, alpha[bounded], bounded)[0]
     # exp(w/alpha) <= 1 keeps theta inside the support; w = 0 gives the bound exactly
-    theta = np.exp(w / alpha[:, None]) * np.array([lane[2] for lane in lanes])
+    theta = np.exp(w / alpha[:, None]) * units.bound
     on_bound = np.any(w == 0.0, axis=1)
     interior = np.flatnonzero(~np.isnan(log_alpha) & ~on_bound)
-    var_beta = np.full(len(lanes), math.nan)
-    log_ratio = np.array([lane[3] for lane in lanes])[interior]
-    var_beta[interior] = _beta_variance(units, alpha[interior], w[interior], interior, log_ratio)
+    var_beta = np.full(alpha.shape[0], math.nan)
+    var_beta[interior] = _beta_variance(units, alpha[interior], w[interior], interior)
+    return alpha, theta, on_bound, var_beta
 
-    for k, (i, start, _, _) in enumerate(lanes):
-        if math.isnan(log_alpha[k]):
+
+def fit_ppr_batch(time, status, group) -> list[PprFit]:
+    """:func:`fit_ppr` of each row of the (R, n) arrays, the fits run in lockstep.
+
+    Each row is a lane (:func:`prepare_lanes`, :func:`solve_lanes`). The
+    per-group Newton, the doubling bracket in log alpha and Brent's method
+    are masked array steps over the lanes, and every sum over a lane's rows
+    is its own segment of a flat array, so a lane's fit does not depend on
+    the rest of the batch: it equals ``fit_ppr`` on that row alone, bit for
+    bit.
+    """
+    columns, failed, lanes = prepare_lanes(time, status, group)
+    fits: list[PprFit | None] = [None] * columns[0].shape[0]
+    for i, start, reason in failed:
+        fits[i] = _ppr_fit(start, math.nan, False, reason)
+    if not lanes.rows.size:
+        return fits
+    alpha, theta, on_bound, var_beta = solve_lanes(lanes)
+    for k, i in enumerate(lanes.rows.tolist()):
+        if math.isnan(alpha[k]):
+            start = _start(lanes.bound[k].tolist())
             fits[i] = _ppr_fit(start, math.nan, False, "likelihood still increasing as alpha grows")
             continue
         params = EuParams(float(alpha[k]), float(theta[k, 0]), float(theta[k, 1]))
-        loglik = eu_log_likelihood(Dataset.from_columns(time[i], status[i], group[i]), params)
-        # on the bound var_beta is NaN, and so is the half-width
+        loglik = eu_log_likelihood(Dataset.from_columns(*(c[i] for c in columns)), params)
+        # on the bound var_beta is NaN, and so is the interval
         reason = "estimate at support boundary" if on_bound[k] else ""
-        fits[i] = _ppr_fit(params, loglik, True, half=Z * math.sqrt(var_beta[k]), ci_reason=reason)
+        fits[i] = _ppr_fit(params, loglik, True, var_beta=float(var_beta[k]), ci_reason=reason)
     return fits
 
 

@@ -21,17 +21,23 @@ beta = -alpha*log(theta1/theta0) = 0.5049, 0.2159, -0.2471 and -0.4942 for
 the nominal effects 0.5, 0.25, -0.25 and -0.5. So the PR effect-0.25 cells
 carry a bias of about -0.034 that no estimator can remove.
 
-Computation: replicates are fitted in chunks of about CHUNK_ROWS data
+Computation: replicates are simulated in chunks of about CHUNK_ROWS data
 rows, which bounds the working set (about 1 MB), not the result. Each
 replicate draws from its own stream; the rest is done once per chunk on
-its (R, n) arrays, which both fits read: one ``nppr.fit_tables`` call on
-the replicates' count tables, zero-padded to a common K (NaN where a
-replicate has no estimate), and ``models.fit_ppr_batch``, whose lanes are
-bit-identical to ``fit_ppr``. The metrics are computed once, after the
-last chunk; only the coverage bootstrap builds Datasets (row views).
-tests/test_study.py checks each NPPR beta against ``nppr_fit`` to 1e-12,
-with NaN exactly where it raises, and one-replicate chunks against the
-default.
+its (R, n) arrays: one ``nppr.fit_tables`` call on the replicates' count
+tables, zero-padded to a common K (NaN where a replicate has no estimate),
+and ``models.prepare_lanes`` for the EU competitor. Its lanes are held and
+solved together (``models.solve_lanes``) before the next chunk's lanes
+would take their censored rows past CHUNK_ROWS, and once more after the
+last chunk. A lane's numbers do not depend on the lanes solved with it,
+and beta and its interval come from ``models.beta_interval``, the rule of
+``fit_ppr``, so each equals ``fit_ppr`` on its replicate, bit for bit; no
+PprFit, Dataset or log-likelihood is built per replicate. The metrics are
+computed once, after the last chunk; only the coverage bootstrap builds
+Datasets (row views). tests/test_study.py checks each NPPR beta against
+``nppr_fit`` to 1e-12, with NaN exactly where it raises, the PPR metrics
+against ``fit_ppr`` on each replicate, and one-replicate chunks against
+the default.
 
 The grid table (summarize_grid, and the CSV that ``proprisk study`` writes)
 has one row per ScenarioResult, in the order of the results, and the
@@ -47,7 +53,7 @@ import numpy as np
 
 from .bootstrap import BootstrapConfig, percentile_bootstrap
 from .errors import EstimationError
-from .models import PprFit, fit_ppr_batch
+from .models import Lanes, beta_interval, prepare_lanes, solve_lanes
 from .nppr import fit_tables
 from .simulate import Model, Scenario, simulate_replicates
 from .survival import Dataset, cell_codes, count_tables
@@ -116,15 +122,34 @@ def run_scenario(
     true_beta = scenario.effect_beta
 
     nppr = np.empty(n_reps)
-    fits: list[PprFit] = []
     nppr_cover: list[bool] = []
+    # the EU fits: converged, then beta and its interval, NaN until solved
+    n_fits = n_reps if fit_competitor else 0
+    converged = np.zeros(n_fits, dtype=bool)
+    beta_p, lower, upper = np.full((3, n_fits), math.nan)
+    pending: list[Lanes] = []
+
+    def solve_pending() -> None:
+        lanes = Lanes(*map(np.concatenate, zip(*pending)))
+        alpha, theta, _, var_beta = solve_lanes(lanes)
+        for rep, a, (t1, t0), v in zip(lanes.rows.tolist(), alpha.tolist(), theta.tolist(), var_beta.tolist()):
+            if not math.isnan(a):
+                converged[rep] = True
+                beta_p[rep], lower[rep], upper[rep] = beta_interval(a, t1, t0, v)
+        pending.clear()
+
     chunk = max(1, CHUNK_ROWS // scenario.n_participants)
     for first in range(0, n_reps, chunk):
         reps = range(first, min(first + chunk, n_reps))
         cols = simulate_replicates(scenario, reps)
         nppr[reps.start:reps.stop] = _nppr_betas(*cols)
         if fit_competitor:
-            fits += fit_ppr_batch(*cols)
+            lanes = prepare_lanes(*cols)[2]
+            # solved before their censored rows would pass CHUNK_ROWS
+            if pending and sum(x.r.shape[0] for x in pending) + lanes.r.shape[0] > CHUNK_ROWS:
+                solve_pending()
+            if lanes.rows.size:
+                pending.append(lanes._replace(rows=lanes.rows + first))
         if not with_coverage:
             continue
         for rep, row in zip(reps, zip(*cols)):
@@ -137,13 +162,15 @@ def run_scenario(
             except EstimationError:
                 continue
             nppr_cover.append(ci.lower <= true_beta <= ci.upper)
+    if pending:
+        solve_pending()
 
     err1 = nppr[~np.isnan(nppr)] - true_beta
-    beta_p = np.array([f.beta for f in fits])
-    kept = np.array([f.converged for f in fits], dtype=bool) & ~(np.abs(beta_p) > PPR_EXCLUSION_THRESHOLD)
+    kept = converged & ~(np.abs(beta_p) > PPR_EXCLUSION_THRESHOLD)
     err_p = beta_p[kept] - true_beta
     # the delta interval is undefined for boundary estimates
-    ppr_cover = [f.ci_beta.lower <= true_beta <= f.ci_beta.upper for f, k in zip(fits, kept) if k and f.ci_available]
+    has_ci = kept & np.isfinite(lower) & np.isfinite(upper)
+    ppr_cover = (lower[has_ci] <= true_beta) & (true_beta <= upper[has_ci])
     return ScenarioResult(
         scenario=scenario,
         n_runs=n_reps,

@@ -142,9 +142,25 @@ def count_tables(codes: np.ndarray, n_cells: int) -> np.ndarray:
     return np.bincount(codes.ravel(), minlength=reps * n_cells).reshape(reps, n_cells // 4, 2, 2)
 
 
+def tie_order(time, minor, levels: int) -> np.ndarray:
+    """The order of rows (..., n) by time, then by ``minor``, integers in
+    [0, levels): one argsort on time, then one on the integer key
+    ``tie * levels + minor``, where ``tie`` numbers the distinct times.
+    Rows with equal keys agree in time and ``minor``, so their order does
+    not matter to a caller that reads nothing else of the sorted rows
+    (np.lexsort, several times slower, gives one such order)."""
+    by_time = np.argsort(time, axis=-1)
+    t = np.take_along_axis(time, by_time, axis=-1)
+    tie = np.zeros(t.shape, dtype=np.int64)
+    np.cumsum(t[..., 1:] != t[..., :-1], axis=-1, out=tie[..., 1:])
+    key = tie * levels + np.take_along_axis(minor, by_time, axis=-1)
+    return np.take_along_axis(by_time, np.argsort(key, axis=-1), axis=-1)
+
+
 def cell_codes(time, status, group) -> np.ndarray:
-    """The ``EventGrid`` cell codes of datasets (..., n), one sort per row."""
-    order = np.lexsort((1 - status, time), axis=-1)
+    """The ``EventGrid`` cell codes of datasets (..., n), in the row order of
+    :func:`tie_order`."""
+    order = tie_order(time, 1 - status, 2)
     t = np.take_along_axis(time, order, axis=-1)
     new = np.take_along_axis(status, order, axis=-1) == 1
     # events first at ties: an event at the previous row's time is not new

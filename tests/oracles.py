@@ -163,6 +163,33 @@ def event_grid_oracle(time, status, group):
     return event_times, (bins * 2 + group) * 2 + status
 
 
+def cell_codes_lexsort(time, status, group):
+    """``survival.cell_codes`` by the two-key np.lexsort it replaced: rows
+    sorted by time, events first at ties."""
+    order = np.lexsort((1 - status, time), axis=-1)
+    t = np.take_along_axis(time, order, axis=-1)
+    new = np.take_along_axis(status, order, axis=-1) == 1
+    new[..., 1:] &= t[..., 1:] > t[..., :-1]
+    bins = np.empty_like(order)
+    np.put_along_axis(bins, order, np.cumsum(new, axis=-1), axis=-1)
+    return (bins * 2 + group) * 2 + status
+
+
+def eu_order_lexsort(time, status, group):
+    """The EU fit's canonical row order by the three-key np.lexsort it
+    replaced (time, then group, then status): the sorted columns."""
+    order = np.lexsort((status, group, time), axis=-1)
+    return tuple(np.take_along_axis(c, order, axis=-1) for c in (time, status, group))
+
+
+def tie_heavy(shape, seed):
+    """(time, status, group) of shape (R, n) with integer times from 1 to
+    max(3, n // 10): every time is tied many times over."""
+    rng = np.random.default_rng(seed)
+    time = rng.integers(1, max(3, shape[-1] // 10) + 1, size=shape).astype(float)
+    return time, rng.integers(0, 2, size=shape), rng.integers(0, 2, size=shape)
+
+
 def _cox_counts(time, status, group):
     """(d, d1, n1, n0) at each distinct event time, each a recount over every row."""
     rows = list(zip(time, status, group))

@@ -66,6 +66,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             BootstrapConfig(**{field: value})
 
+    def test_rejects_more_resamples_than_child_indices(self):
+        BootstrapConfig(n_resamples=2**32)  # the last child index, 2**32 - 1, is one uint32 word
+        with pytest.raises(ValueError, match=r"n_resamples must be at most 2\*\*32"):
+            BootstrapConfig(n_resamples=2**32 + 1)
+
     def test_accepts_numpy_integers(self):
         data = _two_arm_data()
         a = percentile_bootstrap(data, BootstrapConfig(n_resamples=np.int64(20), seed=np.uint32(7)))

@@ -129,6 +129,7 @@ class TestFit:
             ("--level", "1.5", "--bootstrap", "0"),
             ("--seed", "-1"),
             ("--seed", "-1", "--bootstrap", "0"),
+            ("--bootstrap", "4294967297"),
         ],
     )
     def test_bad_bootstrap_flags_exit_code(self, data_csv, flags, capsys):
@@ -136,6 +137,12 @@ class TestFit:
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.startswith("error: --")
+
+    def test_bootstrap_above_2_32_rejected_before_reading_data(self, tmp_path, capsys):
+        code, out = run_cli("fit", "--data", str(tmp_path / "missing.csv"), "--bootstrap", str(2**32 + 1))
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: --bootstrap")
 
 
 class TestParametricCommands:
@@ -327,6 +334,13 @@ class TestSimulateCommand:
 class TestStudyCommand:
     def test_bad_bootstrap_exit_code(self, capsys):
         code, out = run_cli("study", "--grid", "default", "--reps", "1", "--bootstrap", "1", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: --bootstrap")
+
+    def test_bootstrap_above_2_32_rejected_before_any_scenario(self, capsys):
+        argv = ("--grid", "default", "--reps", "1", "--coverage", "--bootstrap", str(2**32 + 1), "--seed", "1")
+        code, out = run_cli("study", *argv)
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.startswith("error: --bootstrap")

@@ -22,6 +22,8 @@ from oracles import (
     cox_score_root_oracle,
     eu_cdf,
     eu_delta_half_width_oracle,
+    eu_order_lexsort,
+    tie_heavy,
     weibull_ph_cdf,
 )
 
@@ -336,6 +338,12 @@ class TestFitPprBatch:
         assert [repr(f) for f in fits] == self._single(cols)
         assert fits[0].converged and math.isfinite(fits[0].beta) and fits[0].rr == math.inf
         assert fits[1].converged and fits[1].beta == -fits[0].beta and fits[1].rr == 0.0
+
+    @pytest.mark.parametrize("shape", [(50, 30), (5, 400), (1, 4744)])
+    def test_canonical_order_matches_lexsort_oracle(self, shape):
+        cols = tie_heavy(shape, seed=shape[1])
+        for got, want in zip(models.prepare_lanes(*cols)[0], eu_order_lexsort(*cols)):
+            np.testing.assert_array_equal(got, want)
 
     def test_empty_batch(self):
         assert models.fit_ppr_batch(np.empty((0, 5)), np.empty((0, 5), dtype=np.int64), np.empty((0, 5), dtype=np.int64)) == []

@@ -9,7 +9,7 @@ import pytest
 
 import proprisk as pr
 from proprisk.simulate import Model, default_grid, reseed, simulate_replicates
-from proprisk import study
+from proprisk import models, study
 from proprisk.reporting import _csv_cell
 from proprisk.study import GRID_COLUMNS, run_scenario, summarize_grid
 
@@ -124,13 +124,54 @@ class TestChunkedReplicates:
                 assert a == pytest.approx(b, abs=1e-12, nan_ok=True)
 
 
+class TestEuCompetitor:
+    """The study reads the EU fits' beta, convergence and interval from the
+    lockstep solve, without a PprFit or a log-likelihood per replicate."""
+
+    def test_no_loglik_evaluations(self, monkeypatch):
+        calls = []
+        real = models.eu_log_likelihood
+        monkeypatch.setattr(models, "eu_log_likelihood", lambda *a: calls.append(1) or real(*a))
+        r = run_scenario(_scenario(rate=0.5, n=100, seed=20240801), 40)
+        assert r.n_ppr_excluded < 40
+        assert calls == []
+
+    # n=12 at 70% censoring: fits without events, one over the threshold, intervals
+    @pytest.mark.parametrize("chunk_rows", [1, 23])
+    def test_metrics_match_fit_ppr_per_replicate(self, monkeypatch, chunk_rows):
+        sc = _scenario(rate=0.7, n=12, seed=2)
+        reps = 24
+        solves = []
+        real = study.solve_lanes
+        monkeypatch.setattr(study, "solve_lanes", lambda lanes: solves.append(lanes.rows.tolist()) or real(lanes))
+        monkeypatch.setattr(study, "CHUNK_ROWS", chunk_rows)
+        r = run_scenario(sc, reps, with_coverage=True, bootstrap_config=pr.BootstrapConfig(n_resamples=20))
+
+        fits = [pr.fit_ppr(pr.simulate_dataset(sc, rep)) for rep in range(reps)]
+        beta = np.array([f.beta for f in fits])
+        kept = np.array([f.converged for f in fits]) & ~(np.abs(beta) > study.PPR_EXCLUSION_THRESHOLD)
+        err = beta[kept] - sc.effect_beta
+        cover = [f.ci_beta.lower <= sc.effect_beta <= f.ci_beta.upper for f, k in zip(fits, kept) if k and f.ci_available]
+        assert cover and not kept.all()
+        assert r.n_ppr_excluded == np.count_nonzero(~kept)
+        assert r.bias_ppr == float(np.mean(err))
+        assert r.mse_ppr == float(np.mean(err**2))
+        assert r.coverage_ppr == float(np.mean(cover))
+
+        # each lane is solved once, in replicate order, over several solves
+        assert sum(solves, []) == sorted(sum(solves, [])) and len(solves) > 1
+        chunk = max(1, chunk_rows // sc.n_participants)
+        assert any(len({rep // chunk for rep in lanes}) > 1 for lanes in solves) == (chunk_rows > 1)
+
+
 class TestCommittedStudyTable:
-    """Two cells of the committed 1,000-replicate study table, rerun."""
+    """Three cells of the committed 1,000-replicate study table, rerun."""
 
     TABLE = Path(__file__).resolve().parents[1] / "results" / "study_default.csv"
 
     @pytest.mark.parametrize("key", [
         ("ppr_eu", 0.5, 0.7, 50),
+        ("ppr_eu", 0.5, 0.3, 500),  # fits on the bound; 1,000 lanes over many solves
         ("weibull_ph", -0.5, 0.5, 100),
     ])
     def test_rows_reproduce(self, key):

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 from proprisk import Dataset, ValidationError
 from proprisk.survival import cell_codes, event_grid, events_at_risk, kaplan_meier, validate_dataset
 
-from oracles import event_grid_oracle, km_oracle
+from oracles import cell_codes_lexsort, event_grid_oracle, km_oracle, tie_heavy
 
 
 class TestValidateDataset:
@@ -266,3 +266,9 @@ def test_cell_codes_match_searchsorted_oracle(batch):
         np.testing.assert_array_equal(grid.event_times, event_times)
         np.testing.assert_array_equal(grid.cell, expected)
         np.testing.assert_array_equal(codes[i], expected)
+
+
+@pytest.mark.parametrize("shape", [(50, 30), (5, 400), (1, 4744)])
+def test_cell_codes_match_lexsort_oracle(shape):
+    time, status, group = tie_heavy(shape, seed=shape[1])
+    np.testing.assert_array_equal(cell_codes(time, status, group), cell_codes_lexsort(time, status, group))
