@@ -447,36 +447,6 @@ def solve_lanes(units: Lanes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     return alpha, theta, on_bound, var_beta
 
 
-def fit_ppr_batch(time, status, group) -> list[PprFit]:
-    """:func:`fit_ppr` of each row of the (R, n) arrays, the fits run in lockstep.
-
-    Each row is a lane (:func:`prepare_lanes`, :func:`solve_lanes`). The
-    per-group Newton, the doubling bracket in log alpha and Brent's method
-    are masked array steps over the lanes, and every sum over a lane's rows
-    is its own segment of a flat array, so a lane's fit does not depend on
-    the rest of the batch: it equals ``fit_ppr`` on that row alone, bit for
-    bit.
-    """
-    columns, failed, lanes = prepare_lanes(time, status, group)
-    fits: list[PprFit | None] = [None] * columns[0].shape[0]
-    for i, start, reason in failed:
-        fits[i] = _ppr_fit(start, math.nan, False, reason)
-    if not lanes.rows.size:
-        return fits
-    alpha, theta, on_bound, var_beta = solve_lanes(lanes)
-    for k, i in enumerate(lanes.rows.tolist()):
-        if math.isnan(alpha[k]):
-            start = _start(lanes.bound[k].tolist())
-            fits[i] = _ppr_fit(start, math.nan, False, "likelihood still increasing as alpha grows")
-            continue
-        params = EuParams(float(alpha[k]), float(theta[k, 0]), float(theta[k, 1]))
-        loglik = eu_log_likelihood(Dataset.from_columns(*(c[i] for c in columns)), params)
-        # on the bound var_beta is NaN, and so is the interval
-        reason = "estimate at support boundary" if on_bound[k] else ""
-        fits[i] = _ppr_fit(params, loglik, True, var_beta=float(var_beta[k]), ci_reason=reason)
-    return fits
-
-
 def fit_ppr(data: Dataset) -> PprFit:
     """Exact maximum-likelihood fit of the EU model by profile likelihood.
 
@@ -499,10 +469,22 @@ def fit_ppr(data: Dataset) -> PprFit:
     interval is reported when a group's w_g is 0, i.e. its estimate sits on
     the support bound (the information is undefined there).
 
-    This is a batch of one: :func:`fit_ppr_batch` fits the rows of (R, n)
-    arrays in lockstep, each lane bit-identical to this call on its row.
+    The fit is one lane of :func:`prepare_lanes` and :func:`solve_lanes`,
+    which the study runs over many replicates at once; a lane's numbers do
+    not depend on the lanes solved with it.
     """
-    return fit_ppr_batch(data.time[None], data.status[None], data.group[None])[0]
+    columns, failed, lanes = prepare_lanes(data.time[None], data.status[None], data.group[None])
+    if failed:
+        _, start, reason = failed[0]
+        return _ppr_fit(start, math.nan, False, reason)
+    alpha, theta, on_bound, var_beta = (x[0].tolist() for x in solve_lanes(lanes))
+    if math.isnan(alpha):
+        return _ppr_fit(_start(lanes.bound[0].tolist()), math.nan, False, "likelihood still increasing as alpha grows")
+    params = EuParams(alpha, *theta)
+    loglik = eu_log_likelihood(Dataset.from_columns(*(c[0] for c in columns)), params)
+    # on the bound var_beta is NaN, and so is the interval
+    reason = "estimate at support boundary" if on_bound else ""
+    return _ppr_fit(params, loglik, True, var_beta=var_beta, ci_reason=reason)
 
 
 @dataclass(frozen=True)

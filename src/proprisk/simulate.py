@@ -62,7 +62,10 @@ WEIBULL_LAMBDA1 = {0.0: 88.296, 0.5: 145.575, 0.25: 113.374, -0.25: 68.765, -0.5
 
 
 def standard_params(model: Model, effect_beta: float) -> ModelParams:
-    """Bundled generating-model parameters for one nominal effect."""
+    """Bundled generating-model parameters for one nominal effect of EFFECTS."""
+    if effect_beta not in EFFECTS:
+        raise ValueError(f"no bundled parameters for effect_beta {effect_beta}; "
+                         f"pass params, or use one of EFFECTS {EFFECTS}")
     if model is Model.PPR_EU:
         return EuParams(EU_ALPHA, EU_THETA1[effect_beta], EU_THETA0)
     return WeibullPhParams(WEIBULL_K, WEIBULL_LAMBDA1[effect_beta], WEIBULL_LAMBDA0)
@@ -181,17 +184,38 @@ def make_scenario(
     censor_cmax: float | None = None,
     params: ModelParams | None = None,
 ) -> Scenario:
-    """Scenario from the bundled parameter grid, calibrating c_max on demand."""
+    """Scenario from the bundled parameter grid, calibrating c_max on demand.
+
+    ValueError for an n_participants that is not a whole number from 1 to
+    below 2**32 (a bootstrap resample's row indices are below 2**32), a
+    censor_rate outside (0, 1), a non-finite effect_beta, an effect_beta
+    outside EFFECTS without ``params``, or a model parameter or censor_cmax
+    that is not positive and finite.
+    """
+    model = Model(model)
+    n = float(n_participants)
+    if not n.is_integer():
+        raise ValueError(f"n_participants must be a whole number, got {n_participants}")
+    if not 1 <= n < 2**32:
+        raise ValueError(f"n_participants must be at least 1 and below 2**32, got {n_participants}")
+    effect_beta, censor_rate = float(effect_beta), float(censor_rate)
+    if not math.isfinite(effect_beta):
+        raise ValueError(f"effect_beta must be finite, got {effect_beta}")
+    if not 0.0 < censor_rate < 1.0:
+        raise ValueError(f"censor_rate must be in (0, 1), got {censor_rate}")
     if params is None:
-        params = standard_params(Model(model), effect_beta)
+        params = standard_params(model, effect_beta)
+    _check_params(params)
     if censor_cmax is None:
-        censor_cmax = calibrate_censoring(Model(model), params, censor_rate)
+        censor_cmax = calibrate_censoring(model, params, censor_rate)
+    elif not 0.0 < censor_cmax < math.inf:
+        raise ValueError(f"censor_cmax must be positive and finite, got {censor_cmax}")
     return Scenario(
-        model=Model(model),
+        model=model,
         effect_beta=effect_beta,
         params=params,
         censor_rate=censor_rate,
-        n_participants=n_participants,
+        n_participants=int(n),
         censor_cmax=censor_cmax,
         seed=seed,
     )
@@ -227,37 +251,21 @@ def simulate_dataset(scenario: Scenario, replicate_seed: int) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def scenario_from_dict(obj: dict) -> Scenario:
-    """Scenario from its JSON object; ValueError for a model parameter or
-    censor_cmax that is not positive and finite, an n_participants that is
-    not a whole number of at least 1, a censor_rate outside (0, 1) or a
-    non-finite effect_beta."""
+    """Scenario from its JSON object; ValueError where :func:`make_scenario`
+    rejects its fields."""
     model = Model(obj["model"])
     p = obj["params"]
     if model is Model.PPR_EU:
         params: ModelParams = EuParams(p["alpha"], p["theta1"], p["theta0"])
     else:
         params = WeibullPhParams(p["k"], p["lambda1"], p["lambda0"])
-    _check_params(params)
-    n = float(obj["n_participants"])
-    if not n.is_integer():
-        raise ValueError(f"n_participants must be a whole number, got {obj['n_participants']}")
-    if n < 1:
-        raise ValueError(f"n_participants must be at least 1, got {int(n)}")
-    censor_cmax = obj.get("censor_cmax")
-    if censor_cmax is not None and not 0.0 < censor_cmax < math.inf:
-        raise ValueError(f"censor_cmax must be positive and finite, got {censor_cmax}")
-    effect_beta, censor_rate = float(obj["effect_beta"]), float(obj["censor_rate"])
-    if not math.isfinite(effect_beta):
-        raise ValueError(f"effect_beta must be finite, got {effect_beta}")
-    if not 0.0 < censor_rate < 1.0:
-        raise ValueError(f"censor_rate must be in (0, 1), got {censor_rate}")
     return make_scenario(
         model=model,
-        effect_beta=effect_beta,
-        censor_rate=censor_rate,
-        n_participants=int(n),
+        effect_beta=obj["effect_beta"],
+        censor_rate=obj["censor_rate"],
+        n_participants=obj["n_participants"],
         seed=int(obj.get("seed", 0)),
-        censor_cmax=censor_cmax,
+        censor_cmax=obj.get("censor_cmax"),
         params=params,
     )
 
@@ -272,7 +280,7 @@ def load_grid(path) -> list[Scenario]:
         scenarios = [scenario_from_dict(obj) for obj in ([raw] if isinstance(raw, dict) else raw)]
     except KeyError as exc:
         raise ValidationError(f"{path}: missing field {exc}") from exc
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, OverflowError, TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     return scenarios
 

@@ -232,6 +232,9 @@ def _grid_file(tmp_path, kind):
         path.write_text(json.dumps([dict(obj, model="lognormal")]))
     elif kind == "no_participants":
         path.write_text(json.dumps([dict(obj, n_participants=-3)]))
+    elif kind == "huge_participants":
+        # rejected before anything is allocated
+        path.write_text(json.dumps([dict(obj, n_participants=1e30)]))
     elif kind == "fractional_participants":
         path.write_text(json.dumps([dict(obj, n_participants=2.7)]))
     elif kind == "negative_alpha":
@@ -261,6 +264,7 @@ BAD_GRID_KINDS = [
     "invalid_json",
     "unknown_model",
     "no_participants",
+    "huge_participants",
     "fractional_participants",
     "negative_alpha",
     "zero_lambda",

@@ -281,7 +281,40 @@ OVERFLOW_ROWS = [
 ]
 
 
-class TestFitPprBatch:
+def _solve_rows(cols):
+    """Solve the rows of (time, status, group), each (R, n), as the lanes of
+    one batch (``prepare_lanes``, ``solve_lanes``), the way the study does,
+    and hold every lane to ``fit_ppr`` on its row alone, bit for bit.
+
+    Returns the single fits and, per row, the repr of its lane's outcome:
+    (reason, start point) for a row that fails before the solve, else
+    (alpha, theta, on_bound, var_beta).
+    """
+    _, failed, lanes = models.prepare_lanes(*cols)
+    fits = [fit_ppr(Dataset.from_columns(*row)) for row in zip(*cols)]
+    outcomes = [None] * len(fits)
+    for i, start, reason in failed:
+        assert not fits[i].converged and fits[i].reason == reason and fits[i].params == start
+        outcomes[i] = repr((reason, start))
+    solved = zip(*(x.tolist() for x in models.solve_lanes(lanes)))
+    for k, (i, (alpha, theta, on_bound, var_beta)) in enumerate(zip(lanes.rows.tolist(), solved)):
+        fit = fits[i]
+        outcomes[i] = repr((alpha, theta, on_bound, var_beta))
+        if math.isnan(alpha):
+            assert not fit.converged and fit.reason == "likelihood still increasing as alpha grows"
+            assert fit.params == models._start(lanes.bound[k].tolist())
+            continue
+        assert fit.converged and fit.params == EuParams(alpha, *theta)
+        # repr round-trips every float, NaN and the sign of zero included
+        assert repr(models.beta_interval(alpha, *theta, var_beta)) == repr(
+            (fit.beta, fit.ci_beta.lower, fit.ci_beta.upper)
+        )
+        assert fit.ci_reason == ("estimate at support boundary" if on_bound else "")
+    assert None not in outcomes
+    return fits, outcomes
+
+
+class TestSolveLanes:
     """Lanes of one batch against single fits: the same fit, bit for bit."""
 
     # one n=6 batch holding every reason a fit has no maximum
@@ -296,20 +329,13 @@ class TestFitPprBatch:
     def _batches():
         # the failure lanes sit between lanes that converge
         small = _chunk(0.5, 0.3, 6, 4)
-        tiny = tuple(np.concatenate((a[:2], f, a[2:])) for a, f in zip(small, TestFitPprBatch.FAILURES))
+        tiny = tuple(np.concatenate((a[:2], f, a[2:])) for a, f in zip(small, TestSolveLanes.FAILURES))
         return [tiny, _chunk(0.0, 0.7, 50, 12), _chunk(0.5, 0.3, 500, 4)]
-
-    @staticmethod
-    def _single(cols):
-        return [repr(fit_ppr(Dataset.from_columns(*row))) for row in zip(*cols)]
 
     def test_every_lane_equals_its_single_fit(self):
         fits = []
         for cols in self._batches():
-            batch = models.fit_ppr_batch(*cols)
-            # repr round-trips every float, NaN and the sign of zero included
-            assert [repr(f) for f in batch] == self._single(cols)
-            fits += batch
+            fits += _solve_rows(cols)[0]
         assert [f.reason for f in fits[2:6]] == [
             "no events", "a group has no events", "likelihood still increasing as alpha grows", "a group is empty",
         ]
@@ -319,23 +345,19 @@ class TestFitPprBatch:
 
     def test_lane_order_does_not_matter(self):
         for cols in self._batches():
-            forward = models.fit_ppr_batch(*cols)
-            backward = models.fit_ppr_batch(*(c[::-1] for c in cols))
-            assert [repr(f) for f in forward] == [repr(f) for f in backward[::-1]]
+            forward = _solve_rows(cols)[1]
+            backward = _solve_rows(tuple(c[::-1] for c in cols))[1]
+            assert forward == backward[::-1]
 
     def test_row_order_within_lanes_does_not_matter(self):
         cols = _chunk(0.5, 0.5, 100, 40)
         rng = np.random.default_rng(3)
         perm = np.argsort(rng.random(cols[0].shape), axis=-1)  # an independent shuffle of each row
         shuffled = tuple(np.take_along_axis(c, perm, axis=-1) for c in cols)
-        fits = [repr(f) for f in models.fit_ppr_batch(*cols)]
-        assert fits == [repr(f) for f in models.fit_ppr_batch(*shuffled)]
-        assert fits == self._single(cols)
+        assert _solve_rows(cols)[1] == _solve_rows(shuffled)[1]
 
     def test_overflowing_rr_is_inf_and_keeps_its_batch(self):
-        cols = _rows(OVERFLOW_ROWS, [(t, s, 1 - g) for t, s, g in OVERFLOW_ROWS])
-        fits = models.fit_ppr_batch(*cols)
-        assert [repr(f) for f in fits] == self._single(cols)
+        fits = _solve_rows(_rows(OVERFLOW_ROWS, [(t, s, 1 - g) for t, s, g in OVERFLOW_ROWS]))[0]
         assert fits[0].converged and math.isfinite(fits[0].beta) and fits[0].rr == math.inf
         assert fits[1].converged and fits[1].beta == -fits[0].beta and fits[1].rr == 0.0
 
@@ -346,7 +368,11 @@ class TestFitPprBatch:
             np.testing.assert_array_equal(got, want)
 
     def test_empty_batch(self):
-        assert models.fit_ppr_batch(np.empty((0, 5)), np.empty((0, 5), dtype=np.int64), np.empty((0, 5), dtype=np.int64)) == []
+        cols = (np.empty((0, 5)), np.empty((0, 5), dtype=np.int64), np.empty((0, 5), dtype=np.int64))
+        failed, lanes = models.prepare_lanes(*cols)[1:]
+        assert failed == [] and lanes.rows.shape == (0,)
+        assert [x.shape for x in models.solve_lanes(lanes)] == [(0,), (0, 2), (0,), (0,)]
+        assert _solve_rows(cols) == ([], [])
 
     @pytest.mark.parametrize("effect, rate, n, n_lanes", [(0.5, 0.3, 500, 40), (0.0, 0.7, 50, 39)])
     def test_each_lane_repeats_only_its_final_profile(self, monkeypatch, effect, rate, n, n_lanes):
@@ -360,7 +386,7 @@ class TestFitPprBatch:
             return real(units, alpha, lanes)
 
         monkeypatch.setattr(models, "_profile", recording)
-        models.fit_ppr_batch(*_chunk(effect, rate, n, 40))
+        models.solve_lanes(models.prepare_lanes(*_chunk(effect, rate, n, 40))[2])
         by_lane = {}
         for lane, alpha in pairs:
             by_lane.setdefault(lane, []).append(alpha)
@@ -416,7 +442,7 @@ class TestBrentq:
         sc = proprisk.make_scenario(proprisk.Model.PPR_EU, effect, rate, n, seed=20240801)
         for rep in range(20):
             fit_ppr(proprisk.simulate_dataset(sc, rep))
-        models.fit_ppr_batch(*proprisk.simulate.simulate_replicates(sc, range(20, 40)))
+        models.solve_lanes(models.prepare_lanes(*proprisk.simulate.simulate_replicates(sc, range(20, 40)))[2])
         lanes = [
             (f, a[i], b[i], fa[i], fb[i], kw, root[i], i)
             for f, a, b, fa, fb, kw, root in calls
@@ -549,14 +575,12 @@ def _same_size_datasets(draw):
 @example([TestCoxTwoGroup.FIRST_STEP_OVERSHOOTS])
 @example([TestCoxTwoGroup.FIRST_STEP_OVERSHOOTS + [(2.0, 0, 0), (2.5, 1, 0), (3.4, 0, 0)]])
 def test_fits_return_or_raise_estimation_error(datasets):
-    single = []
     for rows in datasets:
         data = validate_dataset(rows)
-        single.append(repr(fit_ppr(data)))
         for fit in (cox_two_group, nppr_fit):
             try:
                 fit(data)
             except EstimationError:
                 pass
-    # one lane per dataset, each lane the dataset's own fit
-    assert [repr(f) for f in models.fit_ppr_batch(*_rows(*datasets))] == single
+    # fit_ppr on each dataset, and one lane per dataset, each lane the dataset's own fit
+    _solve_rows(_rows(*datasets))

@@ -1,11 +1,12 @@
 """Package-level guards: what ``import proprisk`` loads and exports, the
-README's Python block, the names the benchmark calls and its tracer wraps,
-and the script that regenerates the bundled trial."""
+README's Python block and the names it cites, the names the benchmark calls
+and its tracer wraps, and the script that regenerates the bundled trial."""
 import dataclasses
 import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import re
 import runpy
 import shutil
@@ -84,6 +85,23 @@ def _perfbench_references():
 @pytest.mark.parametrize("dotted", _perfbench_references())
 def test_perfbench_references_resolve(dotted):
     # an export cut would break the benchmark only when it runs
+    _resolve(dotted)
+
+
+def _readme_references():
+    """The package names the README cites: ``proprisk.<module>.<name>``,
+    `` `<module>.<name>` `` for a submodule, and ``from proprisk.<module> import ...``."""
+    modules = {m.name for m in pkgutil.iter_modules(proprisk.__path__)}
+    refs = set(re.findall(r"\bproprisk(?:\.\w+)+", README))
+    refs |= {f"proprisk.{m}.{name}" for m, name in re.findall(r"`(\w+)\.(\w+)`", README) if m in modules}
+    for m, names in re.findall(r"\bfrom proprisk\.(\w+) import (\w+(?:, \w+)*)", README):
+        refs |= {f"proprisk.{m}.{name}" for name in names.split(", ")}
+    return sorted(refs)
+
+
+@pytest.mark.parametrize("dotted", _readme_references())
+def test_readme_references_resolve(dotted):
+    # a deleted internal must not stay in the docs
     _resolve(dotted)
 
 

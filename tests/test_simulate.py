@@ -251,6 +251,57 @@ class TestSimulateReplicates:
                     assert got[i].tobytes() == want.tobytes()
 
 
+class TestMakeScenario:
+    """make_scenario checks every field, for the API and grid files alike."""
+
+    def test_effect_without_bundled_parameters(self):
+        with pytest.raises(ValueError, match=r"no bundled parameters for effect_beta 0\.3; .*EFFECTS"):
+            pr.make_scenario(Model.PPR_EU, 0.3, 0.5, 100)
+        sc = pr.make_scenario(Model.PPR_EU, 0.3, 0.5, 100, params=EuParams(0.859, 0.006, 0.009))
+        assert sc.effect_beta == 0.3
+
+    @pytest.mark.parametrize("n, message", [
+        (0, "at least 1"), (-3, "at least 1"),
+        (2**32, r"at least 1 and below 2\*\*32"), (1e30, r"at least 1 and below 2\*\*32"),
+        (2.7, "a whole number"), (math.inf, "a whole number"), (math.nan, "a whole number"),
+    ])
+    def test_rejects_bad_n_participants(self, n, message):
+        with pytest.raises(ValueError, match=f"n_participants must be {message}"):
+            pr.make_scenario(Model.PPR_EU, 0.5, 0.3, n)
+        obj = dict(scenario_to_dict(pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 60)), n_participants=n)
+        with pytest.raises(ValueError, match=f"n_participants must be {message}"):
+            scenario_from_dict(obj)
+
+    def test_largest_n_participants_and_whole_floats_accepted(self):
+        # only the Scenario is built: nothing is simulated at this size
+        assert pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 2**32 - 1).n_participants == 2**32 - 1
+        sc = pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 100.0)
+        assert type(sc.n_participants) is int and sc == pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 100)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"censor_rate": 0.0}, "censor_rate must be in"),
+        ({"censor_rate": 1.5}, "censor_rate must be in"),
+        ({"effect_beta": math.nan, "params": EuParams(0.859, 0.005, 0.009)}, "effect_beta must be finite"),
+        ({"effect_beta": math.inf, "params": EuParams(0.859, 0.005, 0.009)}, "effect_beta must be finite"),
+        ({"censor_cmax": 0.0}, "censor_cmax must be positive"),
+        ({"censor_cmax": math.inf}, "censor_cmax must be positive"),
+        ({"censor_cmax": math.nan}, "censor_cmax must be positive"),
+        ({"params": EuParams(0.859, -0.005, 0.009), "censor_cmax": 50.0}, "model parameter theta1 must be positive"),
+    ])
+    def test_rejects_bad_fields(self, change, message):
+        kwargs = dict(model=Model.PPR_EU, effect_beta=0.5, censor_rate=0.3, n_participants=100)
+        kwargs.update(change)
+        with pytest.raises(ValueError, match=message):
+            pr.make_scenario(**kwargs)
+
+    def test_load_grid_rejects_n_beyond_float_range(self, tmp_path):
+        obj = json.dumps(scenario_to_dict(pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 60)))
+        path = tmp_path / "bad.json"
+        path.write_text(obj.replace('"n_participants": 60', '"n_participants": 1' + "0" * 400))
+        with pytest.raises(pr.ValidationError, match=r"bad\.json: "):
+            load_grid(path)
+
+
 class TestGridSerialization:
     def test_scenario_round_trip(self):
         for sc in [pr.make_scenario(Model.WEIBULL_PH, -0.25, 0.5, 100, seed=5), *default_grid()]:
