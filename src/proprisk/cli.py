@@ -78,14 +78,12 @@ def _ci_dict(ci):
 def _cmd_ppr_fit(args) -> int:
     data = read_dataset_csv(args.data)
     fit = fit_ppr(data)
-    # without a maximum the parameters are the search's start point, not estimates
-    estimate = _finite if fit.converged else lambda x: None
     payload = {
-        "alpha": estimate(fit.params.alpha),
-        "theta1": estimate(fit.params.theta1),
-        "theta0": estimate(fit.params.theta0),
-        "beta": estimate(fit.beta),
-        "rr": estimate(fit.rr),
+        "alpha": _finite(fit.params.alpha),
+        "theta1": _finite(fit.params.theta1),
+        "theta0": _finite(fit.params.theta0),
+        "beta": _finite(fit.beta),
+        "rr": _finite(fit.rr),
         "ci_beta": None if math.isnan(fit.ci_beta.lower) else _ci_dict(fit.ci_beta),
         "loglik": _finite(fit.loglik),
         "converged": fit.converged,

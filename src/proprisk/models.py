@@ -92,11 +92,13 @@ class PprFit:
     ``beta`` is -log(rr), the same scale the non-parametric estimator uses.
     ``converged`` means the likelihood has a maximum and ``params`` is it
     (``loglik`` is the log-likelihood there); otherwise ``reason`` says why
-    no maximum exists. The interval can still be unavailable (NaN
-    endpoints, ``ci_reason`` "estimate at support boundary") when a group's
-    estimate sits on its support bound theta_g = 1/max(t_g), which happens
-    routinely for this non-regular likelihood. Off the bound the observed
-    information is positive-definite, so the interval always exists.
+    no maximum exists, and ``params``, ``beta``, ``rr``, ``loglik`` and the
+    interval are NaN. At a maximum the interval can still be unavailable
+    (NaN endpoints, ``ci_reason`` "estimate at support boundary") when a
+    group's estimate sits on its support bound theta_g = 1/max(t_g), which
+    happens routinely for this non-regular likelihood. Off the bound the
+    observed information is positive-definite, so the interval always
+    exists.
     """
 
     params: EuParams
@@ -131,28 +133,6 @@ def beta_interval(alpha: float, theta1: float, theta0: float, var_beta: float) -
         beta = math.nan
     half = Z * math.sqrt(var_beta)
     return beta, beta - half, beta + half
-
-
-def _ppr_fit(
-    params: EuParams,
-    loglik: float,
-    converged: bool,
-    reason: str = "",
-    var_beta: float = math.nan,
-    ci_reason: str = "",
-) -> PprFit:
-    """The fit at ``params``; beta's interval is NaN without a variance."""
-    beta, lower, upper = beta_interval(params.alpha, params.theta1, params.theta0, var_beta)
-    return PprFit(
-        params=params,
-        beta=beta,
-        rr=_exp(-beta),
-        ci_beta=ConfidenceInterval(lower, upper, LEVEL),
-        converged=converged,
-        loglik=loglik,
-        reason=reason,
-        ci_reason=ci_reason,
-    )
 
 
 class Lanes(NamedTuple):
@@ -381,12 +361,12 @@ def _beta_variance(units: Lanes, alpha: np.ndarray, w: np.ndarray, lanes: np.nda
     return grad[:, 0] * sol[:, 0] + grad[:, 1] * sol[:, 1] + grad[:, 2] * sol[:, 2]
 
 
-def prepare_lanes(time, status, group) -> tuple[tuple[np.ndarray, ...], list[tuple[int, EuParams, str]], Lanes]:
+def prepare_lanes(time, status, group) -> tuple[tuple[np.ndarray, ...], list[tuple[int, str]], Lanes]:
     """The EU fits of the rows of the (R, n) arrays, up to the lockstep solve.
 
     Returns the columns in each row's canonical order, the rows that fail
-    before the solve as (row, start point, reason), and the lanes of the
-    other rows, in row order.
+    before the solve as (row, reason), and the lanes of the other rows, in
+    row order.
     """
     # canonical row order makes each fit exactly invariant to its rows' order
     time, status, group = np.asarray(time), np.asarray(status), np.asarray(group)
@@ -397,15 +377,14 @@ def prepare_lanes(time, status, group) -> tuple[tuple[np.ndarray, ...], list[tup
         # a group's times ascend, so its last is its largest
         (t1, e1), (t0, e0) = ((t[m], s[m] == 1) for m in (g == 1, g == 0))
         if not (t1.size and t0.size):
-            failed.append((i, EuParams(1.0, 1.0, 1.0), "a group is empty"))
+            failed.append((i, "a group is empty"))
             continue
-        bounds = (1.0 / float(t1[-1]), 1.0 / float(t0[-1]))
         events = (np.count_nonzero(e1), np.count_nonzero(e0))
         if not all(events):
-            failed.append((i, _start(bounds), "a group has no events" if any(events) else "no events"))
+            failed.append((i, "a group has no events" if any(events) else "no events"))
             continue
         rows.append(i)
-        bound.append(bounds)
+        bound.append((1.0 / float(t1[-1]), 1.0 / float(t0[-1])))
         log_ratio.append(math.log(float(t1[-1]) / float(t0[-1])))
         # kept per group: reduceat sums sequentially where .sum() is pairwise; np.log may differ from math.log
         for tg, eg, d in ((t1, e1, events[0]), (t0, e0, events[1])):
@@ -417,11 +396,6 @@ def prepare_lanes(time, status, group) -> tuple[tuple[np.ndarray, ...], list[tup
     lanes = Lanes(np.array(rows, dtype=np.int64), np.array(bound).reshape(-1, 2), np.array(log_ratio),
                   *(np.array(x, dtype=float) for x in (d, e_rel, r_min)), count, np.concatenate((np.empty(0), *r)))
     return (time, status, group), failed, lanes
-
-
-def _start(bounds) -> EuParams:
-    """The search's start point, reported by a fit without a maximum."""
-    return EuParams(1.0, 0.9 * bounds[0], 0.9 * bounds[1])
 
 
 def solve_lanes(units: Lanes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -460,35 +434,41 @@ def fit_ppr(data: Dataset) -> PprFit:
     is routine when the group's largest time is an event.
 
     ``converged`` is True when the maximum exists and was found; the point
-    reported is then the maximum of :func:`eu_log_likelihood`. It is False
-    when a group is empty or has no events (its theta would go to 0), or
-    when the likelihood still increases as alpha grows without bound. The
-    interval for beta = -log RR is the Wald interval from the exact observed
-    information in (alpha, w_1, w_0), where beta is linear; at an interior
-    maximum this equals the delta method in (alpha, theta_1, theta_0). No
-    interval is reported when a group's w_g is 0, i.e. its estimate sits on
-    the support bound (the information is undefined there).
+    reported is then the maximum of :func:`eu_log_likelihood`. It is False,
+    with every estimate NaN, when a group is empty or has no events (its
+    theta would go to 0), or when the likelihood still increases as alpha
+    grows without bound. The interval for beta = -log RR is the Wald
+    interval from the exact observed information in (alpha, w_1, w_0), where
+    beta is linear; at an interior maximum this equals the delta method in
+    (alpha, theta_1, theta_0). No interval is reported when a group's w_g is
+    0, i.e. its estimate sits on the support bound (the information is
+    undefined there).
 
     The fit is one lane of :func:`prepare_lanes` and :func:`solve_lanes`,
     which the study runs over many replicates at once; a lane's numbers do
     not depend on the lanes solved with it.
     """
     columns, failed, lanes = prepare_lanes(data.time[None], data.status[None], data.group[None])
-    if failed:
-        _, start, reason = failed[0]
-        return _ppr_fit(start, math.nan, False, reason)
-    alpha, theta, on_bound, var_beta = (x[0].tolist() for x in solve_lanes(lanes))
-    if math.isnan(alpha):
-        return _ppr_fit(_start(lanes.bound[0].tolist()), math.nan, False, "likelihood still increasing as alpha grows")
-    params = EuParams(alpha, *theta)
-    loglik = eu_log_likelihood(Dataset.from_columns(*(c[0] for c in columns)), params)
-    # on the bound var_beta is NaN, and so is the interval
-    reason = "estimate at support boundary" if on_bound else ""
-    return _ppr_fit(params, loglik, True, var_beta=var_beta, ci_reason=reason)
+    # a failed row has no lane, and the solve of no lanes returns empty arrays
+    alpha, theta, on_bound, var_beta = (x.tolist() for x in solve_lanes(lanes))
+    if failed or math.isnan(alpha[0]):
+        reason = failed[0][1] if failed else "likelihood still increasing as alpha grows"
+        params, loglik, var, ci_reason = EuParams(math.nan, math.nan, math.nan), math.nan, math.nan, ""
+    else:
+        reason, params = "", EuParams(alpha[0], *theta[0])
+        loglik = eu_log_likelihood(Dataset.from_columns(*(c[0] for c in columns)), params)
+        # on the bound var_beta is NaN, and so is the interval
+        var, ci_reason = var_beta[0], "estimate at support boundary" if on_bound[0] else ""
+    beta, lower, upper = beta_interval(params.alpha, params.theta1, params.theta0, var)
+    ci = ConfidenceInterval(lower, upper, LEVEL)
+    return PprFit(params, beta, _exp(-beta), ci, not reason, loglik, reason=reason, ci_reason=ci_reason)
 
 
 @dataclass(frozen=True)
 class CoxFit:
+    """Cox fit of the group indicator. Without a maximum ``converged`` is
+    False, ``reason`` says why, and ``log_hr``, ``hr`` and ``ci_hr`` are NaN."""
+
     log_hr: float
     hr: float
     ci_hr: ConfidenceInterval
@@ -527,17 +507,17 @@ def cox_two_group(data: Dataset) -> CoxFit:
         score = float(np.sum(d1 - d * p))
         info = float(np.sum(d * p * (1.0 - p)))
         if info <= 0 or not math.isfinite(info):
-            return CoxFit(b, _exp(b), no_ci, False, "singular information")
+            return CoxFit(math.nan, math.nan, no_ci, False, "singular information")
         step = score / info
         while (ll_step := loglik(b + step)) < ll - 1e-12 * abs(ll):
             step /= 2.0
         b, ll = b + step, ll_step
         if abs(b) > 30:
-            return CoxFit(b, _exp(b), no_ci, False, "monotone likelihood")
+            return CoxFit(math.nan, math.nan, no_ci, False, "monotone likelihood")
         if abs(step) < 1e-12:
             break
     else:
-        return CoxFit(b, _exp(b), no_ci, False, "did not converge")
+        return CoxFit(math.nan, math.nan, no_ci, False, "did not converge")
 
     se = 1.0 / math.sqrt(info)
     ci = ConfidenceInterval(_exp(b - Z * se), _exp(b + Z * se), LEVEL)

@@ -45,6 +45,7 @@ class Model(str, Enum):
 
 
 ModelParams = Union[EuParams, WeibullPhParams]
+QUANTILE = {Model.PPR_EU: eu_quantile, Model.WEIBULL_PH: weibull_ph_quantile}
 
 # Parameter grid of the two generating models: shared shape, control-group
 # scale, and the treatment scale for each nominal effect beta (rr = exp(-beta)).
@@ -189,8 +190,9 @@ def make_scenario(
     ValueError for an n_participants that is not a whole number from 1 to
     below 2**32 (a bootstrap resample's row indices are below 2**32), a
     censor_rate outside (0, 1), a non-finite effect_beta, an effect_beta
-    outside EFFECTS without ``params``, or a model parameter or censor_cmax
-    that is not positive and finite.
+    outside EFFECTS without ``params``, a model parameter or censor_cmax
+    that is not positive and finite, a negative seed, or a scenario that
+    can simulate a time that is not positive and finite.
     """
     model = Model(model)
     n = float(n_participants)
@@ -203,6 +205,8 @@ def make_scenario(
         raise ValueError(f"effect_beta must be finite, got {effect_beta}")
     if not 0.0 < censor_rate < 1.0:
         raise ValueError(f"censor_rate must be in (0, 1), got {censor_rate}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if params is None:
         params = standard_params(model, effect_beta)
     _check_params(params)
@@ -210,6 +214,15 @@ def make_scenario(
         censor_cmax = calibrate_censoring(model, params, censor_rate)
     elif not 0.0 < censor_cmax < math.inf:
         raise ValueError(f"censor_cmax must be positive and finite, got {censor_cmax}")
+    # Generator.random steps by 2**-53 and the times increase in u, so the smallest and largest
+    # positive draws bound every simulated time
+    u = np.array([2.0**-53, 1.0 - 2.0**-53])
+    with np.errstate(all="ignore"):
+        ends = {f"group {g}'s event times": QUANTILE[model](params, g, u).tolist() for g in (1, 0)}
+        ends["censoring times"] = (censor_cmax * u).tolist()
+    for name, (lo, hi) in ends.items():
+        if not (0.0 < lo and hi < math.inf):
+            raise ValueError(f"{name} must be positive and finite, but run from {lo} to {hi}")
     return Scenario(
         model=model,
         effect_beta=effect_beta,
@@ -228,7 +241,7 @@ def simulate_replicates(scenario: Scenario, reps) -> tuple[np.ndarray, np.ndarra
         np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(rep, 0))).random(out=u[i])
     group = (u[:, 0] > 0.5).astype(np.int64)  # inverse transform of Bernoulli(1/2)
 
-    quantile = eu_quantile if scenario.model is Model.PPR_EU else weibull_ph_quantile
+    quantile = QUANTILE[scenario.model]
     t_event = np.empty(group.shape)
     for g in (0, 1):
         mask = group == g

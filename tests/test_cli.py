@@ -197,6 +197,16 @@ class TestParametricCommands:
         assert code == 4
         assert not json.loads(out)["converged"]
 
+    def test_cox_monotone_likelihood_prints_no_estimate(self, tmp_path):
+        # the last Newton iterate is not printed as a log HR
+        path = tmp_path / "mono.csv"
+        path.write_text("time,status,group\n1.0,1,1\n1.5,1,1\n5.0,1,0\n6.0,1,0\n")
+        code, out = run_cli("cox", "--data", str(path))
+        assert code == 4
+        payload = json.loads(out)
+        assert payload["reason"] == "monotone likelihood"
+        assert payload["log_hr"] is None and payload["hr"] is None and payload["ci_hr"] is None
+
     @pytest.mark.parametrize(
         "command, nulls",
         [
@@ -256,6 +266,12 @@ def _grid_file(tmp_path, kind):
     elif kind == "censoring_unreachable":
         del obj["censor_cmax"]
         path.write_text(json.dumps([dict(obj, params={"alpha": 1.0, "theta1": 1e-13, "theta0": 1e-13})]))
+    elif kind == "negative_seed":
+        path.write_text(json.dumps([dict(obj, seed=-1)]))
+    elif kind == "zero_times":
+        # the Weibull quantile runs from 0.0 to inf: simulated times of 0.0, which `fit` rejects
+        params = {"k": 1e-3, "lambda1": 1e300, "lambda0": 1e-300}
+        path.write_text(json.dumps([dict(weibull, effect_beta=0.0, params=params, censor_cmax=1e300)]))
     return str(path)
 
 
@@ -274,6 +290,8 @@ BAD_GRID_KINDS = [
     "nan_effect",
     "censoring_unreachable",
     "censoring_above_floor",
+    "negative_seed",
+    "zero_times",
 ]
 
 

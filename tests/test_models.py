@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -210,6 +211,12 @@ class TestFitPpr:
         fit = fit_ppr(data)
         assert not fit.converged
         assert "alpha" in fit.reason
+        _assert_no_estimate(fit, "likelihood still increasing as alpha grows")
+
+    def test_failed_fit_reports_no_estimate(self):
+        # group 0 has no events, so no parameter, beta or rr exists
+        fit = fit_ppr(validate_dataset([(1.0, 1, 1), (2.0, 0, 0), (3.0, 1, 1)]))
+        _assert_no_estimate(fit, "a group has no events")
 
     def test_ci_when_interior(self):
         # 70% censoring keeps the estimate off the support boundary
@@ -281,28 +288,38 @@ OVERFLOW_ROWS = [
 ]
 
 
+def _assert_no_estimate(fit, reason):
+    """A fit without a maximum: not converged, its reason, and NaN for every
+    estimate (of fit_ppr or cox_two_group)."""
+    assert not fit.converged and fit.reason == reason != ""
+    if isinstance(fit, models.PprFit):
+        estimates = (*astuple(fit.params), fit.beta, fit.rr, fit.loglik, fit.ci_beta.lower, fit.ci_beta.upper)
+    else:
+        estimates = (fit.log_hr, fit.hr, fit.ci_hr.lower, fit.ci_hr.upper)
+    assert all(math.isnan(x) for x in estimates), fit
+
+
 def _solve_rows(cols):
     """Solve the rows of (time, status, group), each (R, n), as the lanes of
     one batch (``prepare_lanes``, ``solve_lanes``), the way the study does,
     and hold every lane to ``fit_ppr`` on its row alone, bit for bit.
 
     Returns the single fits and, per row, the repr of its lane's outcome:
-    (reason, start point) for a row that fails before the solve, else
+    the reason of a row that fails before the solve, else
     (alpha, theta, on_bound, var_beta).
     """
     _, failed, lanes = models.prepare_lanes(*cols)
     fits = [fit_ppr(Dataset.from_columns(*row)) for row in zip(*cols)]
     outcomes = [None] * len(fits)
-    for i, start, reason in failed:
-        assert not fits[i].converged and fits[i].reason == reason and fits[i].params == start
-        outcomes[i] = repr((reason, start))
+    for i, reason in failed:
+        _assert_no_estimate(fits[i], reason)
+        outcomes[i] = repr(reason)
     solved = zip(*(x.tolist() for x in models.solve_lanes(lanes)))
-    for k, (i, (alpha, theta, on_bound, var_beta)) in enumerate(zip(lanes.rows.tolist(), solved)):
+    for i, (alpha, theta, on_bound, var_beta) in zip(lanes.rows.tolist(), solved):
         fit = fits[i]
         outcomes[i] = repr((alpha, theta, on_bound, var_beta))
         if math.isnan(alpha):
-            assert not fit.converged and fit.reason == "likelihood still increasing as alpha grows"
-            assert fit.params == models._start(lanes.bound[k].tolist())
+            _assert_no_estimate(fit, "likelihood still increasing as alpha grows")
             continue
         assert fit.converged and fit.params == EuParams(alpha, *theta)
         # repr round-trips every float, NaN and the sign of zero included
@@ -512,6 +529,11 @@ class TestCoxTwoGroup:
         fit = cox_two_group(validate_dataset(rows))
         assert not fit.converged
 
+    def test_monotone_likelihood_reports_no_estimate(self):
+        # Newton's iterate runs past |log HR| = 30 towards infinity: it is not an estimate
+        fit = cox_two_group(validate_dataset([(1.0, 1, 1), (1.5, 1, 1), (5.0, 1, 0), (6.0, 1, 0)]))
+        _assert_no_estimate(fit, "monotone likelihood")
+
     # Newton overshoots these maxima by far: to -170.2 (reported as a monotone
     # likelihood), and to 116,776 (where exp(b) overflowed)
     FIRST_STEP_OVERSHOOTS = [
@@ -577,10 +599,15 @@ def _same_size_datasets(draw):
 def test_fits_return_or_raise_estimation_error(datasets):
     for rows in datasets:
         data = validate_dataset(rows)
-        for fit in (cox_two_group, nppr_fit):
-            try:
-                fit(data)
-            except EstimationError:
-                pass
+        try:
+            nppr_fit(data)
+        except EstimationError:
+            pass
+        # a fit without a maximum says why and reports no estimate; a fit with one gives no reason
+        for fit in (cox_two_group(data), fit_ppr(data)):
+            if fit.converged:
+                assert fit.reason == ""
+            else:
+                _assert_no_estimate(fit, fit.reason)
     # fit_ppr on each dataset, and one lane per dataset, each lane the dataset's own fit
     _solve_rows(_rows(*datasets))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,12 +288,32 @@ class TestMakeScenario:
         ({"censor_cmax": math.inf}, "censor_cmax must be positive"),
         ({"censor_cmax": math.nan}, "censor_cmax must be positive"),
         ({"params": EuParams(0.859, -0.005, 0.009), "censor_cmax": 50.0}, "model parameter theta1 must be positive"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+        # u**1000/theta1 underflows to 0 at the smallest draw; theta0 = 1e300 puts group 0 there too
+        ({"params": EuParams(1e-3, 1e-300, 1e300), "censor_cmax": 1e300},
+         r"group 1's event times must be positive and finite, but run from 0\.0 to 9\.9+"),
+        ({"params": EuParams(1.0, 0.005, 1e-310), "censor_cmax": 1e300}, "group 0's event times .* to inf"),
+        ({"censor_cmax": 1e-310}, r"censoring times must be positive and finite, but run from 0\.0 to 1e-310"),
+        # (-log(1-u))**1000 overflows at the largest draw and underflows at the smallest
+        ({"model": Model.WEIBULL_PH, "effect_beta": 0.0, "params": WeibullPhParams(1e-3, 1e300, 1e-300),
+          "censor_cmax": 1e300}, "group 1's event times must be positive and finite, but run from 0.0 to inf"),
     ])
     def test_rejects_bad_fields(self, change, message):
         kwargs = dict(model=Model.PPR_EU, effect_beta=0.5, censor_rate=0.3, n_participants=100)
         kwargs.update(change)
         with pytest.raises(ValueError, match=message):
             pr.make_scenario(**kwargs)
+
+    def test_time_check_warns_of_nothing(self):
+        # the extreme quantiles overflow and underflow in numpy, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="group 1's event times"):
+                pr.make_scenario(Model.WEIBULL_PH, 0.0, 0.5, 20, censor_cmax=1e300,
+                                 params=WeibullPhParams(1e-3, 1e300, 1e-300))
+            for s in default_grid():
+                assert pr.make_scenario(s.model, s.effect_beta, s.censor_rate, s.n_participants,
+                                        censor_cmax=s.censor_cmax, params=s.params) == s
 
     def test_load_grid_rejects_n_beyond_float_range(self, tmp_path):
         obj = json.dumps(scenario_to_dict(pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 60)))
@@ -324,6 +345,9 @@ class TestGridSerialization:
         ({"censor_cmax": -5.0}, "censor_cmax must be positive"),
         ({"censor_cmax": 0.0}, "censor_cmax must be positive"),
         ({"n_participants": 2.7}, "n_participants must be a whole number"),
+        ({"seed": -1}, "seed must be non-negative"),
+        ({"params": {"alpha": 1e-3, "theta1": 1e-300, "theta0": 1e300}, "censor_cmax": 1e300},
+         "group 1's event times must be positive and finite"),
     ])
     def test_load_grid_rejects_bad_eu_scenario(self, tmp_path, change, message):
         obj = scenario_to_dict(pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 60, seed=2))
