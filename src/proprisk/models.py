@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .survival import ConfidenceInterval, Dataset, event_grid, events_at_risk, tie_order
+from .survival import ConfidenceInterval, Dataset, canonical_order, event_grid, events_at_risk
 
 LEVEL = 0.95  # confidence level of the Wald intervals of the EU and Cox fits
 Z = NormalDist().inv_cdf(0.5 + LEVEL / 2.0)  # their half-width in standard errors
@@ -303,43 +303,6 @@ def _brentq(f, a, b, fa, fb, xtol: float, rtol: float = 4 * np.finfo(float).eps,
     return root
 
 
-def _solve_log_alpha(units: Lanes) -> np.ndarray:
-    """The root in log(alpha) of each lane's profile derivative, NaN where
-    the profile likelihood still increases at alpha = e^50.
-
-    The derivative decreases in alpha. Every lane doubles or halves alpha
-    from 1 until its derivative changes sign, and Brent's method refines
-    the bracket; both run in lockstep over the lanes.
-    """
-
-    def dprofile(log_alpha: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        dl = _profile(units, np.exp(log_alpha), lanes)[1]
-        return dl[:, 0] + dl[:, 1]
-
-    every = np.arange(units.d.shape[0] // 2)
-    lo, hi = np.zeros(every.shape), np.zeros(every.shape)
-    f_lo = dprofile(hi, every)
-    f_hi = f_lo.copy()
-    step = np.where(f_lo > 0, math.log(2.0), -math.log(2.0))
-    searching = f_hi != 0.0
-    unbounded = np.zeros(every.shape, dtype=bool)
-    while searching.any():
-        lo, f_lo = np.where(searching, hi, lo), np.where(searching, f_hi, f_lo)
-        hi = np.where(searching, hi + step, hi)
-        unbounded |= searching & (np.abs(hi) > 50.0)
-        searching &= ~unbounded
-        lanes = every[searching]
-        f_hi[lanes] = dprofile(hi[lanes], lanes)
-        searching &= (f_hi != 0.0) & ((f_hi > 0) == (f_lo > 0))
-    log_alpha = np.where(unbounded, math.nan, hi)
-    bracketed = every[~unbounded & (f_hi != 0.0)]
-    if bracketed.shape[0]:
-        # each bracket runs from its lower end, with the values the search holds
-        ends = np.where(lo < hi, [lo, hi, f_lo, f_hi], [hi, lo, f_hi, f_lo])[:, bracketed]
-        log_alpha[bracketed] = _brentq(lambda x, lanes: dprofile(x, bracketed[lanes]), *ends, xtol=1e-12)
-    return log_alpha
-
-
 def _beta_variance(units: Lanes, alpha: np.ndarray, w: np.ndarray, lanes: np.ndarray) -> np.ndarray:
     """Variance of beta from the observed information in (alpha, w_1, w_0)
     at an interior maximum, for the lanes ``lanes``; off the bound every
@@ -364,13 +327,13 @@ def _beta_variance(units: Lanes, alpha: np.ndarray, w: np.ndarray, lanes: np.nda
 def prepare_lanes(time, status, group) -> tuple[tuple[np.ndarray, ...], list[tuple[int, str]], Lanes]:
     """The EU fits of the rows of the (R, n) arrays, up to the lockstep solve.
 
-    Returns the columns in each row's canonical order, the rows that fail
-    before the solve as (row, reason), and the lanes of the other rows, in
-    row order.
+    Returns the columns with each row in :func:`~proprisk.survival.canonical_order`,
+    the rows that fail before the solve as (row, reason), and the lanes of
+    the other rows, in row order. That order makes each fit exactly
+    invariant to its rows' order.
     """
-    # canonical row order makes each fit exactly invariant to its rows' order
     time, status, group = np.asarray(time), np.asarray(status), np.asarray(group)
-    order = tie_order(time, 2 * group + status, 4)
+    order = canonical_order(time, status, group)
     time, status, group = (np.take_along_axis(c, order, axis=-1) for c in (time, status, group))
     failed, rows, bound, log_ratio, units = [], [], [], [], []
     for i, (t, s, g) in enumerate(zip(time, status, group)):
@@ -400,18 +363,50 @@ def prepare_lanes(time, status, group) -> tuple[tuple[np.ndarray, ...], list[tup
 
 def solve_lanes(units: Lanes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The EU maxima of the prepared lanes, in lockstep: per lane alpha
-    (NaN where the likelihood still increases as alpha grows), theta (L, 2)
+    (NaN where the likelihood still increases at alpha = e^50), theta (L, 2)
     of groups 1 and 0, whether a group's estimate sits on its support
     bound, and the variance of beta (NaN on the bound or without a maximum).
 
-    Every sum over a lane is its own segment (:func:`_unit_rows`), so a
-    lane's numbers do not depend on the other lanes it is solved with.
+    The profile derivative decreases in alpha. Every lane doubles or halves
+    alpha from 1 until its derivative changes sign or is 0, and Brent's
+    method refines the bracket; both run in lockstep over the lanes. Each
+    profile keeps its w, and a root is always a point already profiled, so
+    each lane's w is read there. Every sum over a lane is its own segment
+    (:func:`_unit_rows`), so a lane's numbers do not depend on the other
+    lanes it is solved with.
     """
-    log_alpha = _solve_log_alpha(units)
+    profiled = []  # (lanes, log alpha, w) of every profile
+
+    def dprofile(log_alpha: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        w, dl = _profile(units, np.exp(log_alpha), lanes)
+        profiled.append((lanes, log_alpha, w))
+        return dl[:, 0] + dl[:, 1]
+
+    every = np.arange(units.d.shape[0] // 2)
+    lo, hi = np.zeros(every.shape), np.zeros(every.shape)
+    f_lo = dprofile(hi, every)
+    f_hi = f_lo.copy()
+    step = np.where(f_lo > 0, math.log(2.0), -math.log(2.0))
+    searching = f_hi != 0.0
+    unbounded = np.zeros(every.shape, dtype=bool)
+    while searching.any():
+        lo, f_lo = np.where(searching, hi, lo), np.where(searching, f_hi, f_lo)
+        hi = np.where(searching, hi + step, hi)
+        unbounded |= searching & (np.abs(hi) > 50.0)
+        searching &= ~unbounded
+        lanes = every[searching]
+        f_hi[lanes] = dprofile(hi[lanes], lanes)
+        searching &= (f_hi != 0.0) & ((f_hi > 0) == (f_lo > 0))
+    log_alpha = np.where(unbounded, math.nan, hi)
+    bracketed = every[~unbounded]
+    # each bracket runs from its lower end, with the values the search holds; a 0 at an end is its root
+    ends = np.where(lo < hi, [lo, hi, f_lo, f_hi], [hi, lo, f_hi, f_lo])[:, bracketed]
+    log_alpha[bracketed] = _brentq(lambda x, lanes: dprofile(x, bracketed[lanes]), *ends, xtol=1e-12)
     alpha = np.exp(log_alpha)
-    bounded = np.flatnonzero(~np.isnan(log_alpha))
     w = np.full((alpha.shape[0], 2), math.nan)
-    w[bounded] = _profile(units, alpha[bounded], bounded)[0]
+    lane, at, w_at = (np.concatenate(x) for x in zip(*profiled))
+    root = at == log_alpha[lane]
+    w[lane[root]] = w_at[root]
     # exp(w/alpha) <= 1 keeps theta inside the support; w = 0 gives the bound exactly
     theta = np.exp(w / alpha[:, None]) * units.bound
     on_bound = np.any(w == 0.0, axis=1)

@@ -214,8 +214,8 @@ def make_scenario(
         censor_cmax = calibrate_censoring(model, params, censor_rate)
     elif not 0.0 < censor_cmax < math.inf:
         raise ValueError(f"censor_cmax must be positive and finite, got {censor_cmax}")
-    # Generator.random steps by 2**-53 and the times increase in u, so the smallest and largest
-    # positive draws bound every simulated time
+    # Generator.random steps by 2**-53, simulate_replicates raises 0.0 to 2**-53, and the times
+    # increase in u, so the smallest and largest positive draws bound every simulated time
     u = np.array([2.0**-53, 1.0 - 2.0**-53])
     with np.errstate(all="ignore"):
         ends = {f"group {g}'s event times": QUANTILE[model](params, g, u).tolist() for g in (1, 0)}
@@ -239,6 +239,7 @@ def simulate_replicates(scenario: Scenario, reps) -> tuple[np.ndarray, np.ndarra
     u = np.empty((len(reps), 3, scenario.n_participants))
     for i, rep in enumerate(reps):
         np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(rep, 0))).random(out=u[i])
+    np.maximum(u, 2.0**-53, out=u)  # a draw of 0.0 becomes the smallest positive one, which make_scenario checks
     group = (u[:, 0] > 0.5).astype(np.int64)  # inverse transform of Bernoulli(1/2)
 
     quantile = QUANTILE[scenario.model]

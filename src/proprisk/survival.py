@@ -5,6 +5,8 @@ Conventions fixed here and relied on everywhere else:
 * status 1 = event, 0 = right-censored; group 1 = treatment, 0 = control.
 * At tied times, events are processed before censorings: a subject censored
   at t is still at risk for the event step at t.
+* One row order serves every fit that sorts its rows (``canonical_order``):
+  by time, then events before censorings, then group.
 * Kaplan-Meier curves live on the shared grid of distinct event times and
   are right-continuous: the step at an event time is included there.
 * The Greenwood sum is +inf from the first step where a group's risk set
@@ -142,25 +144,25 @@ def count_tables(codes: np.ndarray, n_cells: int) -> np.ndarray:
     return np.bincount(codes.ravel(), minlength=reps * n_cells).reshape(reps, n_cells // 4, 2, 2)
 
 
-def tie_order(time, minor, levels: int) -> np.ndarray:
-    """The order of rows (..., n) by time, then by ``minor``, integers in
-    [0, levels): one argsort on time, then one on the integer key
-    ``tie * levels + minor``, where ``tie`` numbers the distinct times.
-    Rows with equal keys agree in time and ``minor``, so their order does
-    not matter to a caller that reads nothing else of the sorted rows
-    (np.lexsort, several times slower, gives one such order)."""
+def canonical_order(time, status, group) -> np.ndarray:
+    """The one row order of datasets (..., n): by time, then events before
+    censorings, then group. One argsort on time, then one on the integer key
+    ``4 * tie + 2 * (1 - status) + group``, where ``tie`` numbers the
+    distinct times. Rows with equal keys agree in every column, so the
+    sorted columns are those of np.lexsort((group, 1 - status, time)),
+    several times slower."""
     by_time = np.argsort(time, axis=-1)
     t = np.take_along_axis(time, by_time, axis=-1)
     tie = np.zeros(t.shape, dtype=np.int64)
     np.cumsum(t[..., 1:] != t[..., :-1], axis=-1, out=tie[..., 1:])
-    key = tie * levels + np.take_along_axis(minor, by_time, axis=-1)
+    key = 4 * tie + np.take_along_axis(2 * (1 - status) + group, by_time, axis=-1)
     return np.take_along_axis(by_time, np.argsort(key, axis=-1), axis=-1)
 
 
 def cell_codes(time, status, group) -> np.ndarray:
-    """The ``EventGrid`` cell codes of datasets (..., n), in the row order of
-    :func:`tie_order`."""
-    order = tie_order(time, 1 - status, 2)
+    """The ``EventGrid`` cell codes of datasets (..., n), counted in
+    :func:`canonical_order`; only its events-first rule at ties moves a bin."""
+    order = canonical_order(time, status, group)
     t = np.take_along_axis(time, order, axis=-1)
     new = np.take_along_axis(status, order, axis=-1) == 1
     # events first at ties: an event at the previous row's time is not new

@@ -175,10 +175,10 @@ def cell_codes_lexsort(time, status, group):
     return (bins * 2 + group) * 2 + status
 
 
-def eu_order_lexsort(time, status, group):
-    """The EU fit's canonical row order by the three-key np.lexsort it
-    replaced (time, then group, then status): the sorted columns."""
-    order = np.lexsort((status, group, time), axis=-1)
+def canonical_order_lexsort(time, status, group):
+    """The columns in ``survival.canonical_order`` by the three-key np.lexsort
+    it replaces: rows sorted by time, then events first, then group."""
+    order = np.lexsort((group, 1 - status, time), axis=-1)
     return tuple(np.take_along_axis(c, order, axis=-1) for c in (time, status, group))
 
 

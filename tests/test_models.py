@@ -18,12 +18,12 @@ from proprisk.survival import validate_dataset
 import proprisk.models as models
 
 from oracles import (
+    canonical_order_lexsort,
     cox_grid_oracle,
     cox_partial_loglik,
     cox_score_root_oracle,
     eu_cdf,
     eu_delta_half_width_oracle,
-    eu_order_lexsort,
     tie_heavy,
     weibull_ph_cdf,
 )
@@ -381,7 +381,7 @@ class TestSolveLanes:
     @pytest.mark.parametrize("shape", [(50, 30), (5, 400), (1, 4744)])
     def test_canonical_order_matches_lexsort_oracle(self, shape):
         cols = tie_heavy(shape, seed=shape[1])
-        for got, want in zip(models.prepare_lanes(*cols)[0], eu_order_lexsort(*cols)):
+        for got, want in zip(models.prepare_lanes(*cols)[0], canonical_order_lexsort(*cols)):
             np.testing.assert_array_equal(got, want)
 
     def test_empty_batch(self):
@@ -392,9 +392,9 @@ class TestSolveLanes:
         assert _solve_rows(cols) == ([], [])
 
     @pytest.mark.parametrize("effect, rate, n, n_lanes", [(0.5, 0.3, 500, 40), (0.0, 0.7, 50, 39)])
-    def test_each_lane_repeats_only_its_final_profile(self, monkeypatch, effect, rate, n, n_lanes):
-        # Brent starts from the values the bracket search already holds, so the
-        # one point a lane evaluates twice is its root, profiled once more for w
+    def test_each_lane_profiles_each_alpha_at_most_once(self, monkeypatch, effect, rate, n, n_lanes):
+        # Brent starts from the values the bracket search already holds, and a
+        # lane's w is read at its root from the profile that evaluated it there
         pairs = []
         real = models._profile
 
@@ -403,14 +403,14 @@ class TestSolveLanes:
             return real(units, alpha, lanes)
 
         monkeypatch.setattr(models, "_profile", recording)
-        models.solve_lanes(models.prepare_lanes(*_chunk(effect, rate, n, 40))[2])
+        alpha = models.solve_lanes(models.prepare_lanes(*_chunk(effect, rate, n, 40))[2])[0]
         by_lane = {}
-        for lane, alpha in pairs:
-            by_lane.setdefault(lane, []).append(alpha)
-        assert len(by_lane) == n_lanes
-        for alphas in by_lane.values():
-            assert len(alphas) - len(set(alphas)) == 1
-            assert alphas.count(alphas[-1]) == 2
+        for lane, a in pairs:
+            by_lane.setdefault(lane, []).append(a)
+        assert sorted(by_lane) == list(range(n_lanes)) == list(range(alpha.shape[0]))
+        for lane, alphas in by_lane.items():
+            assert len(alphas) == len(set(alphas))
+            assert alpha[lane] in alphas
 
 
 def _one_lane_brentq(f, a, b, **kw):
@@ -486,6 +486,26 @@ class TestBrentq:
     def test_exact_root_at_an_end(self):
         assert _one_lane_brentq(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12) == 1.0
         assert _one_lane_brentq(lambda x: x - 3.0, 1.0, 3.0, xtol=1e-12) == 3.0
+
+    def test_lane_with_a_root_at_an_end_is_never_evaluated(self):
+        evaluated = []
+
+        def f(x, lanes):
+            evaluated.extend(lanes.tolist())
+            return np.where(lanes == 0, x - 1.0, x * x - 2.0)
+
+        # lane 0: x - 1 on [1, 3], 0 at its lower end; lane 1: x^2 - 2 on [0, 2]
+        root = models._brentq(f, [1.0, 0.0], [3.0, 2.0], [0.0, -2.0], [2.0, 2.0], xtol=1e-12)
+        assert root[0] == 1.0
+        assert root[1] == _one_lane_brentq(lambda x: x * x - 2.0, 0.0, 2.0, xtol=1e-12)
+        assert evaluated and set(evaluated) == {1}
+
+    def test_no_lanes(self):
+        def f(x, lanes):
+            raise AssertionError("f evaluated without lanes")
+
+        root = models._brentq(f, *np.empty((4, 0)), xtol=1e-12)
+        assert root.shape == (0,) and root.dtype == float
 
     def test_maxiter_raises(self):
         from scipy import optimize

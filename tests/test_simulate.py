@@ -11,6 +11,7 @@ from proprisk.models import EuParams, WeibullPhParams, eu_quantile, weibull_ph_q
 from proprisk.simulate import (
     EFFECTS,
     Model,
+    QUANTILE,
     CENSOR_RATES,
     SAMPLE_SIZES,
     _gammainc,
@@ -23,6 +24,7 @@ from proprisk.simulate import (
     simulate_replicates,
     standard_params,
 )
+from proprisk.survival import validate_dataset
 
 from oracles import eu_cdf, scenario_to_dict, simulate_oracle, weibull_ph_cdf
 
@@ -250,6 +252,38 @@ class TestSimulateReplicates:
                 for got, want in zip(cols, simulate_oracle(sc, rep)):
                     assert got.dtype == want.dtype
                     assert got[i].tobytes() == want.tobytes()
+
+    @staticmethod
+    def _patch_draws(monkeypatch, zero):
+        """Every generator's draws (3, n) with ``zero`` of them set to 0.0,
+        which Generator.random returns with probability 2**-53 a draw."""
+        real = np.random.default_rng
+
+        class Draws:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def random(self, out):
+                self.rng.random(out=out)
+                out[zero] = 0.0
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", Draws)
+
+    def test_zero_draws_simulate_the_smallest_positive_draw(self, monkeypatch):
+        self._patch_draws(monkeypatch, np.s_[...])
+        for sc in (pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 20), pr.make_scenario(Model.WEIBULL_PH, 0.5, 0.7, 20)):
+            time, status, group = simulate_replicates(sc, [0, 1])
+            t_event = QUANTILE[sc.model](sc.params, 0, 2.0**-53)
+            t_censor = sc.censor_cmax * 2.0**-53
+            assert np.all(group == 0) and np.all(status == int(t_event <= t_censor))
+            assert np.all(time == min(t_event, t_censor)) and np.all(time > 0.0)
+
+    def test_zero_censoring_draws_give_data_fit_accepts(self, monkeypatch):
+        self._patch_draws(monkeypatch, np.s_[2, ::2])
+        data = pr.simulate_dataset(pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 40), 0)
+        assert np.all(data.time[::2] > 0.0) and np.all(data.status[::2] == 0)
+        validate_dataset(zip(data.time, data.status, data.group))
 
 
 class TestMakeScenario:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from types import SimpleNamespace
 
 from proprisk import Dataset, ValidationError
-from proprisk.survival import cell_codes, event_grid, events_at_risk, kaplan_meier, validate_dataset
+from proprisk.survival import canonical_order, cell_codes, event_grid, events_at_risk, kaplan_meier, validate_dataset
 
-from oracles import cell_codes_lexsort, event_grid_oracle, km_oracle, tie_heavy
+from oracles import canonical_order_lexsort, cell_codes_lexsort, event_grid_oracle, km_oracle, tie_heavy
 
 
 class TestValidateDataset:
@@ -272,3 +272,11 @@ def test_cell_codes_match_searchsorted_oracle(batch):
 def test_cell_codes_match_lexsort_oracle(shape):
     time, status, group = tie_heavy(shape, seed=shape[1])
     np.testing.assert_array_equal(cell_codes(time, status, group), cell_codes_lexsort(time, status, group))
+
+
+@pytest.mark.parametrize("shape", [(50, 30), (5, 400), (1, 4744)])
+def test_canonical_order_matches_lexsort_oracle(shape):
+    cols = tie_heavy(shape, seed=shape[1])
+    order = canonical_order(*cols)
+    for got, want in zip((np.take_along_axis(c, order, axis=-1) for c in cols), canonical_order_lexsort(*cols)):
+        np.testing.assert_array_equal(got, want)
