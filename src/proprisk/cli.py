@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 from pathlib import Path
@@ -24,16 +23,17 @@ from .errors import EstimationError, ValidationError
 from .models import cox_two_group, fit_ppr
 from .nppr import nppr_fit
 from .reporting import (
-    _csv_cell,
-    _finite,
     build_report,
+    cox_report,
     emit_report,
+    ppr_report,
     read_dataset_csv,
     report_to_json,
     write_dataset_csv,
+    write_grid_csv,
 )
 from .simulate import default_grid, load_grid, reseed, simulate_dataset
-from .study import GRID_COLUMNS, run_scenario, summarize_grid
+from .study import run_scenario
 from .survival import event_grid, kaplan_meier
 
 EXIT_OK = 0
@@ -71,40 +71,9 @@ def _check_reps_seed(args) -> None:
     _check_seed(args)
 
 
-def _ci_dict(ci):
-    return {"lower": ci.lower, "upper": ci.upper, "level": ci.level}
-
-
-def _cmd_ppr_fit(args) -> int:
-    data = read_dataset_csv(args.data)
-    fit = fit_ppr(data)
-    payload = {
-        "alpha": _finite(fit.params.alpha),
-        "theta1": _finite(fit.params.theta1),
-        "theta0": _finite(fit.params.theta0),
-        "beta": _finite(fit.beta),
-        "rr": _finite(fit.rr),
-        "ci_beta": None if math.isnan(fit.ci_beta.lower) else _ci_dict(fit.ci_beta),
-        "loglik": _finite(fit.loglik),
-        "converged": fit.converged,
-        "reason": fit.reason,
-        "ci_reason": fit.ci_reason,
-    }
-    print(report_to_json(payload))
-    return EXIT_OK if fit.converged else EXIT_CONVERGENCE
-
-
-def _cmd_cox(args) -> int:
-    data = read_dataset_csv(args.data)
-    fit = cox_two_group(data)
-    payload = {
-        "log_hr": _finite(fit.log_hr),
-        "hr": _finite(fit.hr),
-        "ci_hr": None if math.isnan(fit.ci_hr.lower) else _ci_dict(fit.ci_hr),
-        "converged": fit.converged,
-        "reason": fit.reason,
-    }
-    print(report_to_json(payload))
+def _cmd_model(args) -> int:
+    fit = args.fit(read_dataset_csv(args.data))
+    print(report_to_json(args.report(fit)))
     return EXIT_OK if fit.converged else EXIT_CONVERGENCE
 
 
@@ -147,10 +116,7 @@ def _cmd_study(args) -> int:
                 bootstrap_config=BootstrapConfig(n_resamples=args.bootstrap),
             )
         )
-    writer = csv.writer(sys.stdout)
-    writer.writerow(GRID_COLUMNS)
-    for row in summarize_grid(results):
-        writer.writerow([_csv_cell(row[c]) for c in GRID_COLUMNS])
+    write_grid_csv(results, sys.stdout)
     return EXIT_OK
 
 
@@ -199,11 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ppr-fit", help="parametric proportional-risk (EU) fit")
     p.add_argument("--data", required=True)
-    p.set_defaults(func=_cmd_ppr_fit)
+    p.set_defaults(func=_cmd_model, fit=fit_ppr, report=ppr_report)
 
     p = sub.add_parser("cox", help="two-group Cox hazard ratio (validation)")
     p.add_argument("--data", required=True)
-    p.set_defaults(func=_cmd_cox)
+    p.set_defaults(func=_cmd_model, fit=cox_two_group, report=cox_report)
 
     p = sub.add_parser("simulate", help="write simulated datasets for one scenario")
     p.add_argument("--scenario", required=True, help="JSON file with one scenario")

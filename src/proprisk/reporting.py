@@ -1,14 +1,15 @@
-"""File formats and report serialization.
+"""File formats, report serialization and the study table (:func:`write_grid_csv`).
 
 Input CSV schema (fixed): header ``time,status,group`` with status 1 =
 event / 0 = right-censored and group 1 = treatment / 0 = control. Column
 order is free and extra columns are ignored; every record has as many
 fields as the header, and blank lines are skipped.
 
-The ``fit`` report is one JSON-ready dict, built by :func:`build_report`;
-undefined numbers (e.g. NNT at zero risk difference) are None in it, so
-``json.loads(report_to_json(doc)) == doc``. Every format writes that dict:
-``table`` is a human summary, ``delimited`` emits CSV blocks (summary,
+The documents of ``fit``, ``ppr-fit`` and ``cox`` are JSON-ready dicts
+(:func:`build_report`, :func:`ppr_report`, :func:`cox_report`) with one
+interval rule and None for undefined numbers, so
+``json.loads(report_to_json(doc)) == doc``. Every ``fit`` format writes its
+dict: ``table`` is a human summary, ``delimited`` emits CSV blocks (summary,
 pointwise series, risk-difference series) with None as an empty cell, and
 ``structured`` is its JSON. Machine formats keep full float precision.
 """
@@ -23,7 +24,9 @@ import numpy as np
 
 from .bootstrap import BootstrapResult
 from .errors import ValidationError
+from .models import CoxFit, PprFit
 from .nppr import NpprResult, risk_difference_curve
+from .study import GRID_COLUMNS, ScenarioResult, summarize_grid
 from .survival import ConfidenceInterval, Dataset, validate_dataset
 
 REQUIRED_COLUMNS = ("time", "status", "group")
@@ -81,8 +84,8 @@ def build_report(result: NpprResult, bootstrap: BootstrapResult | None) -> dict:
     return {
         "beta": est.beta,
         "rr": est.rr,
-        "ci_beta": _ci_to_dict(bootstrap.ci_beta if bootstrap else None),
-        "ci_rr": _ci_to_dict(bootstrap.ci_rr if bootstrap else None),
+        "ci_beta": _ci_to_dict(bootstrap.ci_beta, bootstrap.n_effective) if bootstrap else None,
+        "ci_rr": _ci_to_dict(bootstrap.ci_rr, bootstrap.n_effective) if bootstrap else None,
         "n_times_used": est.n_times_used,
         "t_min": result.t_min,
         "t_max": result.t_max,
@@ -107,15 +110,35 @@ def _csv_cell(v):
     return v
 
 
-def _ci_to_dict(ci: ConfidenceInterval | None):
-    if ci is None:
+def _ci_to_dict(ci: ConfidenceInterval, n_effective: int | None = None) -> dict | None:
+    """An interval's JSON: None without one (NaN ends), an infinite end None, n_effective if passed."""
+    if math.isnan(ci.lower):
         return None
-    return {
-        "lower": _finite(ci.lower),
-        "upper": _finite(ci.upper),
-        "level": ci.level,
-        "n_effective": ci.n_effective,
-    }
+    doc = {"lower": _finite(ci.lower), "upper": _finite(ci.upper), "level": ci.level}
+    return doc if n_effective is None else dict(doc, n_effective=n_effective)
+
+
+def ppr_report(fit: PprFit) -> dict:
+    """The ``ppr-fit`` document: the EU fit, None where a number is undefined."""
+    p = fit.params
+    return {"alpha": _finite(p.alpha), "theta1": _finite(p.theta1), "theta0": _finite(p.theta0),
+            "beta": _finite(fit.beta), "rr": _finite(fit.rr), "ci_beta": _ci_to_dict(fit.ci_beta),
+            "loglik": _finite(fit.loglik), "converged": fit.converged,
+            "reason": fit.reason, "ci_reason": fit.ci_reason}
+
+
+def cox_report(fit: CoxFit) -> dict:
+    """The ``cox`` document: the Cox fit, None where a number is undefined."""
+    return {"log_hr": _finite(fit.log_hr), "hr": _finite(fit.hr), "ci_hr": _ci_to_dict(fit.ci_hr),
+            "converged": fit.converged, "reason": fit.reason}
+
+
+def write_grid_csv(results: list[ScenarioResult], fh) -> None:
+    """Write the study table: the header GRID_COLUMNS, then a row per result, each cell by _csv_cell."""
+    writer = csv.writer(fh)
+    writer.writerow(GRID_COLUMNS)
+    for row in summarize_grid(results):
+        writer.writerow([_csv_cell(row[c]) for c in GRID_COLUMNS])
 
 
 def report_to_json(doc: dict) -> str:

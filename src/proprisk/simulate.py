@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+import operator
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from typing import Union
 
@@ -45,6 +46,7 @@ class Model(str, Enum):
 
 
 ModelParams = Union[EuParams, WeibullPhParams]
+PARAMS = {Model.PPR_EU: EuParams, Model.WEIBULL_PH: WeibullPhParams}
 QUANTILE = {Model.PPR_EU: eu_quantile, Model.WEIBULL_PH: weibull_ph_quantile}
 
 # Parameter grid of the two generating models: shared shape, control-group
@@ -191,8 +193,9 @@ def make_scenario(
     below 2**32 (a bootstrap resample's row indices are below 2**32), a
     censor_rate outside (0, 1), a non-finite effect_beta, an effect_beta
     outside EFFECTS without ``params``, a model parameter or censor_cmax
-    that is not positive and finite, a negative seed, or a scenario that
-    can simulate a time that is not positive and finite.
+    that is not positive and finite, ``params`` of the other model, a seed
+    that is not a non-negative integer (``operator.index``, as BootstrapConfig),
+    or a scenario that can simulate a time that is not positive and finite.
     """
     model = Model(model)
     n = float(n_participants)
@@ -205,10 +208,16 @@ def make_scenario(
         raise ValueError(f"effect_beta must be finite, got {effect_beta}")
     if not 0.0 < censor_rate < 1.0:
         raise ValueError(f"censor_rate must be in (0, 1), got {censor_rate}")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     if params is None:
         params = standard_params(model, effect_beta)
+    elif not isinstance(params, PARAMS[model]):
+        raise ValueError(f"model {model.value} takes {PARAMS[model].__name__}, got {type(params).__name__}")
     _check_params(params)
     if censor_cmax is None:
         censor_cmax = calibrate_censoring(model, params, censor_rate)
@@ -268,19 +277,15 @@ def scenario_from_dict(obj: dict) -> Scenario:
     """Scenario from its JSON object; ValueError where :func:`make_scenario`
     rejects its fields."""
     model = Model(obj["model"])
-    p = obj["params"]
-    if model is Model.PPR_EU:
-        params: ModelParams = EuParams(p["alpha"], p["theta1"], p["theta0"])
-    else:
-        params = WeibullPhParams(p["k"], p["lambda1"], p["lambda0"])
+    kind, p = PARAMS[model], obj["params"]
     return make_scenario(
         model=model,
         effect_beta=obj["effect_beta"],
         censor_rate=obj["censor_rate"],
         n_participants=obj["n_participants"],
-        seed=int(obj.get("seed", 0)),
+        seed=obj.get("seed", 0),
         censor_cmax=obj.get("censor_cmax"),
-        params=params,
+        params=kind(*(p[f.name] for f in fields(kind))),
     )
 
 

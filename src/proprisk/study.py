@@ -46,7 +46,7 @@ zero-padded K, and the padding moves the sum's split points. At PR
 at CHUNK_ROWS = 8192 and 0.028296028323058102 at 1, and mse_nppr moves
 too. The committed tables in results/ reproduce at 8192.
 
-The grid table (summarize_grid, and the CSV that ``proprisk study`` writes)
+The grid table (summarize_grid; ``reporting.write_grid_csv`` writes it)
 has one row per ScenarioResult, in the order of the results, and the
 columns GRID_COLUMNS: the scenario's model, effect, censoring rate and
 sample size, then the fields of ScenarioResult.
@@ -160,8 +160,6 @@ def run_scenario(
         if not with_coverage:
             continue
         for rep, row in zip(reps, zip(*cols)):
-            if math.isnan(nppr[rep]):
-                continue
             seed = np.random.SeedSequence(scenario.seed, spawn_key=(rep, 1)).generate_state(1)[0]
             cfg = replace(bootstrap_config, seed=int(seed))
             try:

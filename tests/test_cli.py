@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import proprisk as pr
 from oracles import km_oracle, scenario_to_dict
+from proprisk import cli
 from proprisk.cli import main
 from proprisk.reporting import write_dataset_csv
 from proprisk.survival import validate_dataset
@@ -208,6 +210,20 @@ class TestParametricCommands:
         assert payload["log_hr"] is None and payload["hr"] is None and payload["ci_hr"] is None
 
     @pytest.mark.parametrize(
+        "command, target, key", [("ppr-fit", "fit_ppr", "ci_beta"), ("cox", "cox_two_group", "ci_hr")]
+    )
+    def test_infinite_interval_end_is_null(self, data_csv, monkeypatch, command, target, key):
+        # both commands write their interval under fit's rule: an infinite end is null
+        real = getattr(cli, target)
+        def fit_with_infinite_upper(data):
+            fit = real(data)
+            return replace(fit, **{key: pr.ConfidenceInterval(0.5, math.inf, 0.95)})
+        monkeypatch.setattr(cli, target, fit_with_infinite_upper)
+        code, out = run_cli(command, "--data", data_csv)
+        assert code == 0
+        assert json.loads(out)[key] == {"lower": 0.5, "upper": None, "level": 0.95}
+
+    @pytest.mark.parametrize(
         "command, nulls",
         [
             ("ppr-fit", ("alpha", "theta1", "theta0", "beta", "rr", "ci_beta", "loglik")),
@@ -268,6 +284,11 @@ def _grid_file(tmp_path, kind):
         path.write_text(json.dumps([dict(obj, params={"alpha": 1.0, "theta1": 1e-13, "theta0": 1e-13})]))
     elif kind == "negative_seed":
         path.write_text(json.dumps([dict(obj, seed=-1)]))
+    elif kind == "fractional_seed":
+        path.write_text(json.dumps([dict(obj, seed=1.5)]))
+    elif kind == "negative_fractional_seed":
+        # int() would truncate it to 0, past the negative-seed check
+        path.write_text(json.dumps([dict(obj, seed=-0.5)]))
     elif kind == "zero_times":
         # the Weibull quantile runs from 0.0 to inf: simulated times of 0.0, which `fit` rejects
         params = {"k": 1e-3, "lambda1": 1e300, "lambda0": 1e-300}
@@ -291,6 +312,8 @@ BAD_GRID_KINDS = [
     "censoring_unreachable",
     "censoring_above_floor",
     "negative_seed",
+    "fractional_seed",
+    "negative_fractional_seed",
     "zero_times",
 ]
 

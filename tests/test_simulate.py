@@ -323,6 +323,10 @@ class TestMakeScenario:
         ({"censor_cmax": math.nan}, "censor_cmax must be positive"),
         ({"params": EuParams(0.859, -0.005, 0.009), "censor_cmax": 50.0}, "model parameter theta1 must be positive"),
         ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"params": WeibullPhParams(0.9, 100.0, 90.0)}, "model ppr_eu takes EuParams, got WeibullPhParams"),
+        ({"model": Model.WEIBULL_PH, "params": EuParams(0.859, 0.005, 0.009)},
+         "model weibull_ph takes WeibullPhParams, got EuParams"),
         # u**1000/theta1 underflows to 0 at the smallest draw; theta0 = 1e300 puts group 0 there too
         ({"params": EuParams(1e-3, 1e-300, 1e300), "censor_cmax": 1e300},
          r"group 1's event times must be positive and finite, but run from 0\.0 to 9\.9+"),

@@ -1,4 +1,3 @@
-import csv
 import io
 import math
 from dataclasses import fields
@@ -10,7 +9,7 @@ import pytest
 import proprisk as pr
 from proprisk.simulate import Model, default_grid, reseed, simulate_replicates
 from proprisk import models, study
-from proprisk.reporting import _csv_cell
+from proprisk.reporting import write_grid_csv
 from proprisk.study import GRID_COLUMNS, run_scenario, summarize_grid
 
 
@@ -110,6 +109,21 @@ class TestChunkedReplicates:
         if n == 6:
             assert {0, 2} <= set(failed)
 
+    def test_coverage_counts_each_replicate_with_an_interval(self):
+        # replicates without an NPPR estimate reach the bootstrap, which raises and is skipped
+        sc = pr.make_scenario(Model.PPR_EU, 0.0, 0.7, 30, seed=3)
+        r = run_scenario(sc, 40, with_coverage=True, bootstrap_config=pr.BootstrapConfig(n_resamples=20))
+        cover = []
+        for rep in range(40):
+            seed = int(np.random.SeedSequence(sc.seed, spawn_key=(rep, 1)).generate_state(1)[0])
+            try:
+                ci = pr.percentile_bootstrap(pr.simulate_dataset(sc, rep), pr.BootstrapConfig(20, seed=seed)).ci_beta
+            except pr.EstimationError:
+                continue
+            cover.append(ci.lower <= sc.effect_beta <= ci.upper)
+        assert r.n_nppr_failed > 0 and cover
+        assert r.coverage_nppr == float(np.mean(cover))
+
     @pytest.mark.parametrize("model, effect, rate, n, seed, reps", SCENARIOS)
     def test_one_replicate_chunks_agree(self, monkeypatch, model, effect, rate, n, seed, reps):
         sc = pr.make_scenario(model, effect, rate, n, seed=seed)
@@ -177,10 +191,12 @@ class TestCommittedStudyTable:
     def test_rows_reproduce(self, key):
         grid = reseed(default_grid(), 20240101)
         sc = next(s for s in grid if (s.model.value, s.effect_beta, s.censor_rate, s.n_participants) == key)
-        row = summarize_grid([run_scenario(sc, 1000)])[0]
         out = io.StringIO()
-        csv.writer(out).writerow([_csv_cell(row[c]) for c in GRID_COLUMNS])
-        assert out.getvalue().rstrip("\r\n") in self.TABLE.read_text().splitlines()
+        write_grid_csv([run_scenario(sc, 1000)], out)
+        header, row = out.getvalue().splitlines()
+        table = self.TABLE.read_text().splitlines()
+        assert header == table[0]
+        assert row in table
 
 
 class TestSummarizeGrid:
