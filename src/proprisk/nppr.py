@@ -78,7 +78,7 @@ class NpprResult:
 
     ``event_times`` (K,) are the distinct event times of the data and
     ``cdf`` (K, 2) the Kaplan-Meier CDFs of the control (column 0) and
-    treatment (column 1) groups there; [t_min, t_max] is the window.
+    treatment (column 1) groups there; [t_min, t_max] is the window, RD's too.
     """
 
     estimate: NpprEstimate
@@ -149,13 +149,14 @@ def fit_tables(table: np.ndarray) -> TableFit:
     return TableFit(surv, m, window, beta_t, omega, usable, beta, total)
 
 
-def risk_difference_curve(estimate: NpprEstimate, times, f0) -> RiskDifferenceCurve:
-    """RD(t) = (1 - exp(-beta)) * F0(t) and NNT(t) = 1/RD(t) at the times
-    ``times``, where the control group's CDF is ``f0``."""
-    rd = (1.0 - estimate.rr) * np.asarray(f0, dtype=float)
+def risk_difference_curve(result: NpprResult) -> RiskDifferenceCurve:
+    """RD(t) = (1 - exp(-beta)) * F0(t) and NNT(t) = 1/RD(t) at the fit's
+    event times in its window [t_min, t_max], F0 the control group's CDF."""
+    window = (result.event_times >= result.t_min) & (result.event_times <= result.t_max)
+    rd = (1.0 - result.estimate.rr) * result.cdf[window, 0]
     with np.errstate(divide="ignore"):
         nnt = np.where(rd != 0.0, 1.0 / np.where(rd != 0.0, rd, 1.0), math.nan)
-    return RiskDifferenceCurve(times=np.asarray(times, dtype=float), rd=rd, nnt=nnt)
+    return RiskDifferenceCurve(times=result.event_times[window], rd=rd, nnt=nnt)
 
 
 def nppr_fit(data: Dataset) -> NpprResult:

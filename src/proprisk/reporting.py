@@ -26,7 +26,7 @@ from .bootstrap import BootstrapResult
 from .errors import ValidationError
 from .models import CoxFit, PprFit
 from .nppr import NpprResult, risk_difference_curve
-from .study import GRID_COLUMNS, ScenarioResult, summarize_grid
+from .study import GRID_COLUMNS, ScenarioResult
 from .survival import ConfidenceInterval, Dataset, validate_dataset
 
 REQUIRED_COLUMNS = ("time", "status", "group")
@@ -79,13 +79,12 @@ def build_report(result: NpprResult, bootstrap: BootstrapResult | None) -> dict:
     holds ``[time, beta_t, weight]`` rows with weight = 1/omega(t).
     """
     est, pts = result.estimate, result.points
-    window = (result.event_times >= result.t_min) & (result.event_times <= result.t_max)
-    rd = risk_difference_curve(est, result.event_times[window], result.cdf[window, 0])
+    rd = risk_difference_curve(result)
     return {
         "beta": est.beta,
         "rr": est.rr,
-        "ci_beta": _ci_to_dict(bootstrap.ci_beta, bootstrap.n_effective) if bootstrap else None,
-        "ci_rr": _ci_to_dict(bootstrap.ci_rr, bootstrap.n_effective) if bootstrap else None,
+        "ci_beta": _ci_to_dict(bootstrap.ci_beta) if bootstrap else None,
+        "ci_rr": _ci_to_dict(bootstrap.ci_rr) if bootstrap else None,
         "n_times_used": est.n_times_used,
         "t_min": result.t_min,
         "t_max": result.t_max,
@@ -110,12 +109,12 @@ def _csv_cell(v):
     return v
 
 
-def _ci_to_dict(ci: ConfidenceInterval, n_effective: int | None = None) -> dict | None:
-    """An interval's JSON: None without one (NaN ends), an infinite end None, n_effective if passed."""
+def _ci_to_dict(ci: ConfidenceInterval) -> dict | None:
+    """An interval's JSON: None without one (NaN ends), an infinite end None, its n_effective if non-zero."""
     if math.isnan(ci.lower):
         return None
     doc = {"lower": _finite(ci.lower), "upper": _finite(ci.upper), "level": ci.level}
-    return doc if n_effective is None else dict(doc, n_effective=n_effective)
+    return dict(doc, n_effective=ci.n_effective) if ci.n_effective else doc
 
 
 def ppr_report(fit: PprFit) -> dict:
@@ -134,11 +133,13 @@ def cox_report(fit: CoxFit) -> dict:
 
 
 def write_grid_csv(results: list[ScenarioResult], fh) -> None:
-    """Write the study table: the header GRID_COLUMNS, then a row per result, each cell by _csv_cell."""
+    """Write the study table: the header GRID_COLUMNS, then per result its scenario's cells and fields, by _csv_cell."""
     writer = csv.writer(fh)
     writer.writerow(GRID_COLUMNS)
-    for row in summarize_grid(results):
-        writer.writerow([_csv_cell(row[c]) for c in GRID_COLUMNS])
+    for r in results:
+        s = r.scenario
+        cells = (s.model.value, s.effect_beta, s.censor_rate, s.n_participants)
+        writer.writerow([_csv_cell(v) for v in cells + tuple(getattr(r, c) for c in GRID_COLUMNS[4:])])
 
 
 def report_to_json(doc: dict) -> str:

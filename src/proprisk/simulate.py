@@ -87,9 +87,16 @@ class Scenario:
     seed: int = 0
 
 
+def _number(name: str, value):
+    """value as given; anything but a real number (a grid file's "50", true or null) is a ValueError, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def _check_params(params: ModelParams) -> None:
     for name, value in asdict(params).items():
-        if not 0.0 < value < math.inf:
+        if not 0.0 < _number(f"model parameter {name}", value) < math.inf:
             raise ValueError(f"model parameter {name} must be positive and finite, got {value}")
 
 
@@ -189,27 +196,29 @@ def make_scenario(
 ) -> Scenario:
     """Scenario from the bundled parameter grid, calibrating c_max on demand.
 
-    ValueError for an n_participants that is not a whole number from 1 to
-    below 2**32 (a bootstrap resample's row indices are below 2**32), a
-    censor_rate outside (0, 1), a non-finite effect_beta, an effect_beta
-    outside EFFECTS without ``params``, a model parameter or censor_cmax
-    that is not positive and finite, ``params`` of the other model, a seed
-    that is not a non-negative integer (``operator.index``, as BootstrapConfig),
-    or a scenario that can simulate a time that is not positive and finite.
+    ValueError for a numeric field that is not a real number (not coerced), an
+    n_participants that is not a whole number from 1 to below 2**32 (a
+    bootstrap resample's row indices are below 2**32), a censor_rate outside
+    (0, 1), a non-finite effect_beta, an effect_beta outside EFFECTS without
+    ``params``, a model parameter or censor_cmax that is not positive and
+    finite, ``params`` of the other model, a seed that is not a non-negative
+    integer (``operator.index``, as BootstrapConfig), or a scenario that can
+    simulate a time that is not positive and finite.
     """
     model = Model(model)
-    n = float(n_participants)
+    n = float(_number("n_participants", n_participants))
     if not n.is_integer():
         raise ValueError(f"n_participants must be a whole number, got {n_participants}")
     if not 1 <= n < 2**32:
         raise ValueError(f"n_participants must be at least 1 and below 2**32, got {n_participants}")
-    effect_beta, censor_rate = float(effect_beta), float(censor_rate)
+    effect_beta = float(_number("effect_beta", effect_beta))
+    censor_rate = float(_number("censor_rate", censor_rate))
     if not math.isfinite(effect_beta):
         raise ValueError(f"effect_beta must be finite, got {effect_beta}")
     if not 0.0 < censor_rate < 1.0:
         raise ValueError(f"censor_rate must be in (0, 1), got {censor_rate}")
     try:
-        seed = operator.index(seed)
+        seed = operator.index(_number("seed", seed))
     except TypeError:
         raise ValueError(f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
@@ -221,7 +230,7 @@ def make_scenario(
     _check_params(params)
     if censor_cmax is None:
         censor_cmax = calibrate_censoring(model, params, censor_rate)
-    elif not 0.0 < censor_cmax < math.inf:
+    elif not 0.0 < _number("censor_cmax", censor_cmax) < math.inf:
         raise ValueError(f"censor_cmax must be positive and finite, got {censor_cmax}")
     # Generator.random steps by 2**-53, simulate_replicates raises 0.0 to 2**-53, and the times
     # increase in u, so the smallest and largest positive draws bound every simulated time

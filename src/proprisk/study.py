@@ -46,7 +46,7 @@ zero-padded K, and the padding moves the sum's split points. At PR
 at CHUNK_ROWS = 8192 and 0.028296028323058102 at 1, and mse_nppr moves
 too. The committed tables in results/ reproduce at 8192.
 
-The grid table (summarize_grid; ``reporting.write_grid_csv`` writes it)
+The grid table (``reporting.write_grid_csv`` writes it from the results)
 has one row per ScenarioResult, in the order of the results, and the
 columns GRID_COLUMNS: the scenario's model, effect, censoring rate and
 sample size, then the fields of ScenarioResult.
@@ -188,15 +188,3 @@ def run_scenario(
         coverage_nppr=_mean(nppr_cover),
         coverage_ppr=_mean(ppr_cover) if with_coverage else math.nan,
     )
-
-
-def summarize_grid(results: list[ScenarioResult]) -> list[dict]:
-    """The grid table as dicts keyed by GRID_COLUMNS, one per result, in the
-    order given (``default_grid()`` builds the reference order)."""
-    rows = []
-    for r in results:
-        s = r.scenario
-        cells = (s.model.value, s.effect_beta, s.censor_rate, s.n_participants)
-        cells += tuple(getattr(r, name) for name in GRID_COLUMNS[len(cells):])
-        rows.append(dict(zip(GRID_COLUMNS, cells)))
-    return rows

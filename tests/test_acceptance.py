@@ -380,8 +380,7 @@ def test_criterion_7_property_suite():
     check(7, "quantile/CDF round trips below 1e-12",
           eu_err < 1e-12 and wb_err < 1e-12, f"eu={eu_err:.2e} weibull={wb_err:.2e}")
 
-    window = (res.event_times >= res.t_min) & (res.event_times <= res.t_max)
-    rd = pr.risk_difference_curve(res.estimate, res.event_times[window], res.cdf[window, 0])
+    rd = pr.risk_difference_curve(res)
     check(7, "|risk difference| non-decreasing over time",
           bool(np.all(np.diff(np.abs(rd.rd)) >= -1e-15)))
 

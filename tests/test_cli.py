@@ -80,14 +80,15 @@ class TestFit:
             ("time,status,group\n1.0,1,1\n2.0,1,0\n".encode("utf-16"), "{path} is not UTF-8"),
             (b"time,status,group,time\n1.0,1,1,5.0\n2.0,1,0,6.0\n", "repeated column(s): time"),
             (b"time,status,group\n1.0,1,1\n1e309,1,0\n", "nonfinite time at row 2"),
+            (b"time,status,group\n1.0,1,1\n2.0,x,0\n", "unparsable status/group at row 2"),
             (b"time,status,group\n1.0,1,1\n2.0,1\n", "2 fields where the header has 3 at row 2"),
             (b"time,status,group\n1.0,1,1\n\n2.0,1,0,9\n", "4 fields where the header has 3 at row 2"),
             (b"time,status,group\n", "dataset is empty"),
             (b"time,status,group\n1.0,1,1\n" + b"1" * (csv.field_size_limit() + 1) + b",1,0\n",
              f"{{path}}: field larger than field limit ({csv.field_size_limit()}) at row 2"),
         ],
-        ids=["stray_0xff", "utf16", "repeated_time", "overflow_time", "short_record", "surplus_field", "header_only",
-             "field_over_limit"],
+        ids=["stray_0xff", "utf16", "repeated_time", "overflow_time", "unparsable_status", "short_record",
+             "surplus_field", "header_only", "field_over_limit"],
     )
     def test_unreadable_csv_exit_code(self, tmp_path, raw, message, capsys):
         path = tmp_path / "odd.csv"
@@ -244,6 +245,20 @@ class TestParametricCommands:
             assert payload[key] is None, key
 
 
+# a string or a boolean where a grid file's number goes, which float() and
+# operator.index would coerce: kind -> (field, value); alpha is in params
+WRONG_TYPES = {
+    "string_participants": ("n_participants", "50"),
+    "string_effect": ("effect_beta", "0.5"),
+    "string_rate": ("censor_rate", "0.3"),
+    "bool_participants": ("n_participants", True),
+    "bool_seed": ("seed", True),
+    "bool_effect": ("effect_beta", True),
+    "bool_alpha": ("alpha", True),
+    "bool_cmax": ("censor_cmax", True),
+}
+
+
 def _grid_file(tmp_path, kind):
     """A one-scenario grid file: valid, or broken in the way ``kind`` names."""
 
@@ -289,6 +304,13 @@ def _grid_file(tmp_path, kind):
     elif kind == "negative_fractional_seed":
         # int() would truncate it to 0, past the negative-seed check
         path.write_text(json.dumps([dict(obj, seed=-0.5)]))
+    elif kind == "missing_field":
+        del obj["censor_rate"]
+        path.write_text(json.dumps([obj]))
+    elif kind in WRONG_TYPES:
+        field, value = WRONG_TYPES[kind]
+        (obj["params"] if field == "alpha" else obj)[field] = value
+        path.write_text(json.dumps([obj]))
     elif kind == "zero_times":
         # the Weibull quantile runs from 0.0 to inf: simulated times of 0.0, which `fit` rejects
         params = {"k": 1e-3, "lambda1": 1e300, "lambda0": 1e-300}
@@ -315,6 +337,8 @@ BAD_GRID_KINDS = [
     "fractional_seed",
     "negative_fractional_seed",
     "zero_times",
+    "missing_field",
+    *WRONG_TYPES,
 ]
 
 
@@ -406,6 +430,18 @@ class TestStudyCommand:
         assert code == 2
         assert out == ""
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("kind, message", [
+        ("missing_field", "missing field 'censor_rate'"),
+        ("string_participants", "n_participants must be a number, got '50'"),
+        ("bool_alpha", "model parameter alpha must be a number, got True"),
+    ])
+    def test_grid_file_error_names_the_field(self, tmp_path, kind, message, capsys):
+        path = _grid_file(tmp_path, kind)
+        code, out = run_cli("study", "--grid", path, "--reps", "1", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_small_grid(self, tmp_path):
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from proprisk import Dataset, EstimationError, nppr_fit, risk_difference_curve
 from proprisk.nppr import (
     NpprEstimate,
+    NpprResult,
     build_event_time_set,
     nppr_point_estimate,
     pointwise_log_rr,
@@ -118,8 +120,14 @@ class TestPointEstimate:
         assert beta[0] == 0.0
 
 
-def _estimate(beta):
-    return NpprEstimate(beta, 1.0, math.exp(-beta), 1)
+def _result(beta, times, f0):
+    """An NpprResult by hand: estimate beta, the control CDF f0 at the event
+    times, and the window from the first time to the last."""
+    times, f0 = np.array(times), np.array(f0)
+    cdf = np.stack((f0, math.exp(-beta) * f0), axis=1)
+    estimate = NpprEstimate(beta, 1.0, math.exp(-beta), 1)
+    # risk_difference_curve reads no pointwise estimates
+    return NpprResult(estimate, None, times[0], times[-1], times, cdf)
 
 
 class TestRiskDifference:
@@ -127,25 +135,31 @@ class TestRiskDifference:
         # with beta=0.320, F0 chosen so that NNT(10) = 28.120
         beta = 0.320
         f0_at_10 = 1.0 / 28.120 / (1.0 - math.exp(-beta))
-        rd = risk_difference_curve(_estimate(beta), [10.0], [f0_at_10])
+        rd = risk_difference_curve(_result(beta, [10.0], [f0_at_10]))
         assert rd.nnt[0] == pytest.approx(28.120, rel=1e-12)
         assert rd.rd[0] == pytest.approx(1.0 / 28.120, rel=1e-12)
 
     def test_direct_formula(self):
-        rd = risk_difference_curve(_estimate(0.320), [5.0], [0.1])
+        rd = risk_difference_curve(_result(0.320, [5.0], [0.1]))
         assert rd.rd[0] == pytest.approx((1 - math.exp(-0.32)) * 0.1, rel=1e-12)
         assert rd.nnt[0] == pytest.approx(36.5167, abs=5e-4)
 
     def test_null_effect_undefined_nnt(self):
-        rd = risk_difference_curve(_estimate(0.0), [1.0, 2.0], [1.0 / 3.0, 2.0 / 3.0])
+        rd = risk_difference_curve(_result(0.0, [1.0, 2.0], [1.0 / 3.0, 2.0 / 3.0]))
         assert np.all(rd.rd == 0.0)
         assert np.all(np.isnan(rd.nnt))
+
+    def test_evaluated_in_the_window(self):
+        res = replace(_result(0.320, [1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4]), t_min=2.0, t_max=3.0)
+        rd = risk_difference_curve(res)
+        np.testing.assert_array_equal(rd.times, [2.0, 3.0])
+        np.testing.assert_array_equal(rd.rd, (1 - math.exp(-0.32)) * np.array([0.2, 0.3]))
 
     def test_rd_magnitude_nondecreasing(self):
         data = _simulated(seed=5, n=80)
         res = nppr_fit(data)
-        window = (res.event_times >= res.t_min) & (res.event_times <= res.t_max)
-        rd = risk_difference_curve(res.estimate, res.event_times[window], res.cdf[window, 0])
+        rd = risk_difference_curve(res)
+        assert rd.times[0] == res.t_min and rd.times[-1] == res.t_max
         assert np.all(np.diff(np.abs(rd.rd)) >= -1e-15)
         assert np.all(np.sign(rd.rd[rd.rd != 0]) == np.sign(1 - res.estimate.rr))
 

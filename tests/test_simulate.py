@@ -312,6 +312,9 @@ class TestMakeScenario:
         assert pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 2**32 - 1).n_participants == 2**32 - 1
         sc = pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 100.0)
         assert type(sc.n_participants) is int and sc == pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 100)
+        # numpy scalars are numbers, not strings or booleans
+        sc = pr.make_scenario(Model.PPR_EU, np.float64(0.5), np.float64(0.3), np.int64(100), seed=np.int64(0))
+        assert sc == pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 100)
 
     @pytest.mark.parametrize("change, message", [
         ({"censor_rate": 0.0}, "censor_rate must be in"),
@@ -324,6 +327,21 @@ class TestMakeScenario:
         ({"params": EuParams(0.859, -0.005, 0.009), "censor_cmax": 50.0}, "model parameter theta1 must be positive"),
         ({"seed": -1}, "seed must be non-negative, got -1"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        # strings and booleans are not coerced (float("50") == 50.0, operator.index(True) == 1)
+        ({"n_participants": "50"}, "n_participants must be a number, got '50'"),
+        ({"effect_beta": "0.5"}, "effect_beta must be a number, got '0.5'"),
+        ({"censor_rate": "0.3"}, "censor_rate must be a number, got '0.3'"),
+        ({"seed": "1"}, "seed must be a number, got '1'"),
+        ({"censor_cmax": "50"}, "censor_cmax must be a number, got '50'"),
+        ({"params": EuParams(0.859, "0.005", 0.009), "censor_cmax": 50.0},
+         "model parameter theta1 must be a number, got '0.005'"),
+        ({"n_participants": True}, "n_participants must be a number, got True"),
+        ({"seed": True}, "seed must be a number, got True"),
+        ({"effect_beta": True, "params": EuParams(0.859, 0.005, 0.009)}, "effect_beta must be a number, got True"),
+        ({"censor_rate": np.True_}, "censor_rate must be a number, got (np\\.)?True"),
+        ({"params": EuParams(True, 0.005, 0.009)}, "model parameter alpha must be a number, got True"),
+        ({"censor_cmax": True}, "censor_cmax must be a number, got True"),
+        ({"n_participants": None}, "n_participants must be a number, got None"),
         ({"params": WeibullPhParams(0.9, 100.0, 90.0)}, "model ppr_eu takes EuParams, got WeibullPhParams"),
         ({"model": Model.WEIBULL_PH, "params": EuParams(0.859, 0.005, 0.009)},
          "model weibull_ph takes WeibullPhParams, got EuParams"),
@@ -375,6 +393,11 @@ class TestGridSerialization:
         obj = dict(scenario_to_dict(sc), n_participants=0)
         path.write_text(json.dumps(obj))
         with pytest.raises(pr.ValidationError, match=r"grid\.json: n_participants must be at least 1"):
+            load_grid(path)
+        obj = scenario_to_dict(sc)
+        del obj["censor_rate"]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(pr.ValidationError, match=r"grid\.json: missing field 'censor_rate'"):
             load_grid(path)
 
     @pytest.mark.parametrize("change, message", [

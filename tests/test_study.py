@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 from dataclasses import fields
@@ -10,7 +11,7 @@ import proprisk as pr
 from proprisk.simulate import Model, default_grid, reseed, simulate_replicates
 from proprisk import models, study
 from proprisk.reporting import write_grid_csv
-from proprisk.study import GRID_COLUMNS, run_scenario, summarize_grid
+from proprisk.study import GRID_COLUMNS, run_scenario
 
 
 def _scenario(model=Model.PPR_EU, effect=0.5, rate=0.3, n=60, seed=1):
@@ -199,22 +200,30 @@ class TestCommittedStudyTable:
         assert row in table
 
 
-class TestSummarizeGrid:
+def _grid_rows(results):
+    """The study table that write_grid_csv writes, as lists of cells."""
+    out = io.StringIO()
+    write_grid_csv(results, out)
+    return list(csv.reader(out.getvalue().splitlines()))
+
+
+class TestGridTable:
     def test_empty(self):
-        assert summarize_grid([]) == []
+        assert _grid_rows([]) == [list(GRID_COLUMNS)]
 
     def test_single_row_pass_through(self):
         r = run_scenario(_scenario(), 10)
-        rows = summarize_grid([r])
+        header, *rows = _grid_rows([r])
+        assert header == list(GRID_COLUMNS)
         assert len(rows) == 1
-        row = rows[0]
-        assert list(row) == list(GRID_COLUMNS)
-        assert row["bias_nppr"] == r.bias_nppr
-        assert row["participants"] == 60
+        row = dict(zip(header, rows[0]))
+        assert row["bias_nppr"] == repr(r.bias_nppr)
+        assert [row[c] for c in GRID_COLUMNS[:4]] == ["ppr_eu", "0.5", "0.3", "60"]
+        assert row["n_runs"] == "10"
         # the columns after the scenario's four are the result's own fields, in order
         result = {f.name: getattr(r, f.name) for f in fields(r)[1:]}
         assert GRID_COLUMNS[4:] == tuple(result)
-        np.testing.assert_equal({c: row[c] for c in result}, result)
+        np.testing.assert_equal({c: float(row[c]) if row[c] else math.nan for c in result}, result)
 
     def test_rows_keep_the_given_order(self):
         scenarios = [
@@ -226,10 +235,10 @@ class TestSummarizeGrid:
             ]
         ]
         results = [run_scenario(s, 2) for s in scenarios]
-        forward = summarize_grid(results)
-        keys = [(s.model.value, s.effect_beta, s.censor_rate, s.n_participants) for s in scenarios]
-        assert [tuple(r.values())[:4] for r in forward] == keys
-        assert summarize_grid(results[::-1]) == forward[::-1]
+        forward = _grid_rows(results)[1:]
+        keys = [[s.model.value, repr(s.effect_beta), repr(s.censor_rate), str(s.n_participants)] for s in scenarios]
+        assert [r[:4] for r in forward] == keys
+        assert _grid_rows(results[::-1])[1:] == forward[::-1]
 
     def test_default_grid_is_in_reference_order(self):
         # PR block first; effects 0, 0.5, 0.25, -0.25, -0.5; censoring

@@ -51,6 +51,14 @@ class TestValidateDataset:
         with pytest.raises(ValidationError, match="row 2"):
             validate_dataset([(1.0, 1, 1), ("abc", 0, 0)])
 
+    def test_unparsable_status(self):
+        with pytest.raises(ValidationError, match="unparsable status/group at row 2"):
+            validate_dataset([(1.0, 1, 1), (2.0, "x", 0)])
+
+    def test_short_record(self):
+        with pytest.raises(ValidationError, match=r"expected \(time, status, group\) at row 1"):
+            validate_dataset([(1.0, 1)])
+
 
 def _km(data, group=1):
     """One group's Kaplan-Meier curve on the dataset's shared event times."""
