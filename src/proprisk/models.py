@@ -308,7 +308,8 @@ def _beta_variance(units: Lanes, alpha: np.ndarray, w: np.ndarray, lanes: np.nda
     at an interior maximum, for the lanes ``lanes``; off the bound every
     group has censored rows."""
     sel, r, at, sums = _unit_rows(units, lanes)
-    h = 1.0 / np.expm1(np.repeat(alpha, 2)[at] * r - w.ravel()[at])
+    with np.errstate(over="ignore"):  # 1/expm1(x) is 0.0 where expm1 overflows, its exact limit
+        h = 1.0 / np.expm1(np.repeat(alpha, 2)[at] * r - w.ravel()[at])
     c = h * (1.0 + h)
     s_rrc, s_rc, s_c = sums(np.stack((r * r * c, r * c, c))).reshape(3, -1, 2)
     d_a2 = units.d[sel].reshape(-1, 2) / (alpha**2)[:, None]

@@ -18,7 +18,9 @@ tables (B, K + 1, 2, 2) over a shared event-time grid (see
 ``survival.EventGrid``): ``nppr_fit`` runs it on the identity table of the
 data, the bootstrap on chunks of resample tables. Its stages,
 ``survival.kaplan_meier``, ``build_event_time_set``, ``pointwise_log_rr``
-and ``nppr_point_estimate``, are array operations over (B, K) or (B, K, 2).
+and ``nppr_point_estimate``, are array operations over (B, K) or (B, K, 2)
+that write into a ``survival.Workspace``: the bootstrap passes one for all
+its chunks, and every other caller lets ``fit_tables`` allocate one.
 
 The derived absolute measures are the risk difference
 RD(t) = (1 - exp(-beta)) * F0(t) and the number needed to treat 1/RD(t).
@@ -32,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EstimationError
-from .survival import Dataset, event_grid, kaplan_meier
+from .survival import Dataset, Workspace, event_grid, kaplan_meier
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,50 +104,74 @@ class TableFit(NamedTuple):
     total_weight: np.ndarray  # (B,)
 
 
-def build_event_time_set(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _workspace(work: Workspace | None, values: np.ndarray) -> Workspace:
+    """``work``, or a new workspace for the stage arrays ``values`` (..., K)."""
+    return Workspace.empty(values.shape[:-1], values.shape[-1]) if work is None else work
+
+
+def build_event_time_set(d: np.ndarray, work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The overlap window of the events d (..., K, 2): a mask (..., K) of the
     times with an event that lie at or after each group's first event and at
     or before each group's last, and the events m (..., K) of both groups,
     the multiplicity of each time. The window is empty when a group has no
     events or all of one group's events precede the other's first."""
-    c = np.cumsum(d, axis=-2)
-    inside = (c > 0) & (c - d < c[..., -1:, :])  # an event at or before, and one at or after
-    m = d[..., 0] + d[..., 1]  # not .sum(axis=-1): slow over a length-2 axis
-    return inside[..., 0] & inside[..., 1] & (m > 0), m
+    work = _workspace(work, d[..., 0])
+    # an event at or before, and one at or after: positive cumulative and suffix sums
+    inside = np.greater(np.cumsum(d, axis=-2, out=work.int_scratch), 0, out=work.inside)
+    np.cumsum(d[..., ::-1, :], axis=-2, out=work.int_scratch[..., ::-1, :])
+    inside &= np.greater(work.int_scratch, 0, out=work.bool_scratch)
+    m = np.add(d[..., 0], d[..., 1], out=work.m)  # not .sum(axis=-1): slow over a length-2 axis
+    window = np.logical_and(inside[..., 0], inside[..., 1], out=work.window)
+    window &= np.greater(m, 0, out=work.flag)
+    return window, m
 
 
-def pointwise_log_rr(surv: np.ndarray, gsum: np.ndarray, window: np.ndarray):
+def pointwise_log_rr(surv: np.ndarray, gsum: np.ndarray, window: np.ndarray, work: Workspace | None = None):
     """beta_t = -log(F1/F0) and omega = G1/F1^2 + G0/F0^2 at every time from
     the survival and Greenwood sums (..., K, 2), and the mask of usable
     times: in the window with a finite, positive omega. Times outside the
     window hold infinities and NaNs."""
+    work = _workspace(work, window)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = 1.0 - surv
-        beta_t = -np.log(f[..., 1] / f[..., 0])
-        v = gsum / f**2
-        omega = v[..., 1] + v[..., 0]
-    return beta_t, omega, window & np.isfinite(omega) & (omega > 0)
+        f = np.subtract(1.0, surv, out=work.float_scratch)
+        beta_t = np.divide(f[..., 1], f[..., 0], out=work.beta_t)
+        np.negative(np.log(beta_t, out=beta_t), out=beta_t)
+        v = np.divide(gsum, np.square(f, out=f), out=f)
+        omega = np.add(v[..., 1], v[..., 0], out=work.omega)
+    usable = np.logical_and(window, np.isfinite(omega, out=work.usable), out=work.usable)
+    usable &= np.greater(omega, 0, out=work.flag)
+    return beta_t, omega, usable
 
 
-def nppr_point_estimate(beta_t, omega, usable, m) -> tuple[np.ndarray, np.ndarray]:
+def nppr_point_estimate(beta_t, omega, usable, m, work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Weighted mean of beta_t over the usable times, weights m/omega, and
     the total weight; the mean is 0/0 = NaN where no time is usable, the
     only place where the total weight is 0."""
+    work = _workspace(work, beta_t)
+    unusable = np.logical_not(usable, out=work.flag)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = 1.0 / omega
-        total = np.where(usable, m * w, 0.0).sum(axis=-1)
-        beta = np.where(usable, m * (w * beta_t), 0.0).sum(axis=-1) / total
+        w = np.divide(1.0, omega, out=work.weight)
+        terms = np.multiply(m, w, out=work.terms)
+        np.putmask(terms, unusable, 0.0)
+        total = terms.sum(axis=-1, out=work.total_weight)
+        terms = np.multiply(m, np.multiply(w, beta_t, out=terms), out=terms)
+        np.putmask(terms, unusable, 0.0)
+        beta = np.divide(terms.sum(axis=-1, out=work.beta), total, out=work.beta)
     return beta, total
 
 
-def fit_tables(table: np.ndarray) -> TableFit:
+def fit_tables(table: np.ndarray, work: Workspace | None = None) -> TableFit:
     """NPPR fit of each count table (B, K + 1, 2, 2); beta is NaN where the
     estimate is undefined (a group without events, an empty window, no
-    usable time)."""
-    d, surv, gsum = kaplan_meier(table)
-    window, m = build_event_time_set(d)
-    beta_t, omega, usable = pointwise_log_rr(surv, gsum, window)
-    beta, total = nppr_point_estimate(beta_t, omega, usable, m)
+    usable time). The stages write into ``work``, a workspace for at least
+    B tables over the same K (see ``survival.Workspace``), or into one
+    allocated here; the fit's arrays are views of it."""
+    b, k = table.shape[0], table.shape[1] - 1
+    work = Workspace.empty((b,), k) if work is None else work.head(b)
+    d, surv, gsum = kaplan_meier(table, work)
+    window, m = build_event_time_set(d, work)
+    beta_t, omega, usable = pointwise_log_rr(surv, gsum, window, work)
+    beta, total = nppr_point_estimate(beta_t, omega, usable, m, work)
     return TableFit(surv, m, window, beta_t, omega, usable, beta, total)
 
 

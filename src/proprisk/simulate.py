@@ -15,8 +15,8 @@ transforms them in (simulate_dataset is a batch of one).
 
 default_grid() builds the study's 90 cells at call time from EFFECTS,
 CENSOR_RATES, SAMPLE_SIZES and the parameter constants below. Grid files
-for load_grid hold scenarios as JSON objects, field for field; the README
-lists the fields.
+for load_grid hold scenarios as JSON objects, field for field, and no other
+key; the README lists the fields.
 """
 from __future__ import annotations
 
@@ -283,10 +283,19 @@ def simulate_dataset(scenario: Scenario, replicate_seed: int) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def scenario_from_dict(obj: dict) -> Scenario:
-    """Scenario from its JSON object; ValueError where :func:`make_scenario`
-    rejects its fields."""
+    """Scenario from its JSON object; ValueError for a key that is not a
+    Scenario field (or a parameter of its model), and where
+    :func:`make_scenario` rejects its fields."""
+    known = {f.name for f in fields(Scenario)}
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"unknown field {key!r}")
     model = Model(obj["model"])
     kind, p = PARAMS[model], obj["params"]
+    names = [f.name for f in fields(kind)]
+    for key in p:
+        if key not in names:
+            raise ValueError(f"unknown field {key!r} in {model.value} params")
     return make_scenario(
         model=model,
         effect_beta=obj["effect_beta"],
@@ -294,18 +303,31 @@ def scenario_from_dict(obj: dict) -> Scenario:
         n_participants=obj["n_participants"],
         seed=obj.get("seed", 0),
         censor_cmax=obj.get("censor_cmax"),
-        params=kind(*(p[f.name] for f in fields(kind))),
+        params=kind(*(p[name] for name in names)),
     )
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
 
 
 def load_grid(path) -> list[Scenario]:
     """Scenario list from a JSON grid file (a list of scenario objects, or
     one object). A file that cannot be read or does not describe valid
-    scenarios raises ValidationError naming the file."""
+    scenarios raises ValidationError naming the file; a scenario, or its
+    params, that is not an object is named by its index in the file."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
-        scenarios = [scenario_from_dict(obj) for obj in ([raw] if isinstance(raw, dict) else raw)]
+        if not isinstance(raw, (dict, list)):
+            raise ValueError(f"expected a scenario object or a list of them, got {_JSON_TYPES[type(raw)]}")
+        objs = [raw] if isinstance(raw, dict) else raw
+        for i, obj in enumerate(objs):
+            if not isinstance(obj, dict):
+                raise ValueError(f"scenario {i} must be an object, got {_JSON_TYPES[type(obj)]}")
+            if not isinstance(obj.get("params", {}), dict):
+                raise ValueError(f"scenario {i}: params must be an object, got {_JSON_TYPES[type(obj['params'])]}")
+        scenarios = [scenario_from_dict(obj) for obj in objs]
     except KeyError as exc:
         raise ValidationError(f"{path}: missing field {exc}") from exc
     except (OSError, OverflowError, TypeError, ValueError) as exc:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -181,16 +181,72 @@ def event_grid(data: Dataset) -> EventGrid:
     return EventGrid(_frozen(event_times), _frozen(cell))
 
 
-def events_at_risk(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class Workspace(NamedTuple):
+    """The buffers of the NPPR kernel's stages (``kaplan_meier``,
+    ``events_at_risk`` and the stages in ``nppr``) for count tables
+    (..., K + 1, 2, 2). Each stage writes its outputs, and its temporaries
+    into the scratch buffers, through numpy's ``out=`` arguments, so a
+    caller that fits chunk after chunk of tables allocates them once. A
+    stage given no workspace allocates one; the arithmetic is the same."""
+
+    at_risk: np.ndarray  # rows per bin, then the at-risk sizes
+    int_scratch: np.ndarray
+    float_scratch: np.ndarray
+    surv: np.ndarray
+    gsum: np.ndarray
+    inside: np.ndarray
+    bool_scratch: np.ndarray
+    m: np.ndarray
+    window: np.ndarray
+    usable: np.ndarray
+    flag: np.ndarray  # bool scratch
+    beta_t: np.ndarray
+    omega: np.ndarray
+    weight: np.ndarray  # 1/omega
+    terms: np.ndarray  # the summands of the weighted mean
+    beta: np.ndarray
+    total_weight: np.ndarray
+
+    @classmethod
+    def empty(cls, lead: tuple, k: int) -> "Workspace":
+        """Uninitialised buffers for tables of leading shape ``lead`` over K
+        event times, carved at 64-byte offsets from one allocation. Freeing
+        one block that glibc had to map raises its mmap and trim thresholds
+        to the block's size, so the next workspace of that size reuses the
+        heap; separate buffers were handed back and faulted in on every call."""
+        i, f, b = np.int64, np.float64, np.bool_
+        pair, one = (k, 2), (k,)
+        layout = dict(
+            at_risk=((k + 1, 2), i), int_scratch=(pair, i), float_scratch=(pair, f), surv=(pair, f),
+            gsum=(pair, f), inside=(pair, b), bool_scratch=(pair, b), m=(one, i), window=(one, b),
+            usable=(one, b), flag=(one, b), beta_t=(one, f), omega=(one, f), weight=(one, f),
+            terms=(one, f), beta=((), f), total_weight=((), f),
+        )
+        offsets, size = [], 0
+        for tail, dtype in layout.values():
+            offsets.append(size)
+            size += -(-math.prod(lead + tail) * np.dtype(dtype).itemsize // 64) * 64
+        block = np.empty(size, np.uint8)
+        return cls(**{name: np.ndarray(lead + tail, dtype, block, offset)
+                      for (name, (tail, dtype)), offset in zip(layout.items(), offsets)})
+
+    def head(self, b: int) -> "Workspace":
+        """Views of the buffers of the first b tables."""
+        return self if b == self.beta.shape[0] else self._make(a[:b] for a in self)
+
+
+def events_at_risk(table: np.ndarray, work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Events and at-risk sizes per event time and group of a count table
     (..., K + 1, 2, 2), both (..., K, 2). A row censored at an event time
     is still at risk there."""
-    rows = table[..., 0] + table[..., 1]  # not .sum(axis=-1): slow over a length-2 axis
-    at_risk = np.cumsum(rows[..., ::-1, :], axis=-2)[..., ::-1, :]
-    return table[..., 1:, :, 1], at_risk[..., 1:, :]
+    if work is None:
+        work = Workspace.empty(table.shape[:-3], table.shape[-3] - 1)
+    rows = np.add(table[..., 0], table[..., 1], out=work.at_risk)  # not .sum(axis=-1): slow over a length-2 axis
+    np.cumsum(rows[..., ::-1, :], axis=-2, out=rows[..., ::-1, :])
+    return table[..., 1:, :, 1], rows[..., 1:, :]
 
 
-def kaplan_meier(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def kaplan_meier(table: np.ndarray, work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kaplan-Meier estimate of both groups of count tables (..., K + 1, 2, 2).
 
     Returns the events d, the survival S and the Greenwood sum
@@ -200,7 +256,13 @@ def kaplan_meier(table: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     exactly as right-continuous step functions; G is +inf from the step
     where the group's risk set is exhausted.
     """
-    d, n = events_at_risk(table)
-    n = np.maximum(n, 1)  # an empty risk set has no event; keeps 1.0 and 0.0 exact
+    if work is None:
+        work = Workspace.empty(table.shape[:-3], table.shape[-3] - 1)
+    d, n = events_at_risk(table, work)
+    np.maximum(n, 1, out=n)  # an empty risk set has no event; keeps 1.0 and 0.0 exact
     with np.errstate(divide="ignore"):
-        return d, np.cumprod(1.0 - d / n, axis=-2), np.cumsum(d / (n * (n - d)), axis=-2)
+        q = np.divide(d, n, out=work.float_scratch)
+        surv = np.cumprod(np.subtract(1.0, q, out=q), axis=-2, out=work.surv)
+        nd = np.multiply(n, np.subtract(n, d, out=work.int_scratch), out=work.int_scratch)
+        gsum = np.cumsum(np.divide(d, nd, out=q), axis=-2, out=work.gsum)
+    return d, surv, gsum

@@ -285,3 +285,63 @@ class TestBatchedEqualsScalar:
         t1 = set(events[tied.group[tied.status == 1] == 1])
         t0 = set(events[tied.group[tied.status == 1] == 0])
         assert len(t1 & t0) >= 5 and np.unique(events).size < events.size
+
+
+def _ties12():
+    # 12 rows on 4 distinct times: ties within and across groups, censorings tied with events
+    return validate_dataset([(1, 1, 0), (1, 1, 1), (1, 0, 0), (2, 1, 0), (2, 1, 0), (2, 1, 1),
+                             (2, 0, 1), (3, 1, 1), (3, 1, 0), (3, 0, 0), (4, 1, 1), (4, 0, 1)])
+
+
+def _trial():
+    return read_dataset_csv(Path(proprisk.__file__).parent / "data" / "synthetic_trial.csv")
+
+
+# name -> (data, B, seed); each B is not a multiple of the data's default chunk
+WORKSPACE_CASES = {
+    "pr025_c30_n500": (lambda: _replicate(0.25, 0.3, 500, 0), 100, 5),
+    "ph05_c50_n100": (lambda: simulate_dataset(make_scenario(Model.WEIBULL_PH, 0.5, 0.5, 100, seed=20240801), 0), 250, 6),
+    "ties_n12": (_ties12, 1000, 7),
+    "trial": (_trial, 12, 8),
+}
+
+
+class TestWorkspacePipeline:
+    """percentile_bootstrap's draw, count-table and kernel pipeline, writing
+    into one workspace per call, against fit_tables on each resample's own
+    table: every beta byte for byte, NaN where a resample fails. The cases
+    run back to back, so each call meets a different K."""
+
+    @pytest.mark.parametrize("budget", ["one_resample", "default", "all_in_one"])
+    def test_each_beta_equals_its_own_table_fit(self, budget, monkeypatch, any_success):
+        for name, (make, n_resamples, seed) in WORKSPACE_CASES.items():
+            data = make()
+            grid = event_grid(data)
+            default_chunk = proprisk.bootstrap.CHUNK_CELLS // grid.n_cells
+            assert 1 < default_chunk and n_resamples % default_chunk, name
+            rows = _oracle_rows(seed, n_resamples, len(data))
+            own = np.array([fit_tables(grid.table(r[None])).beta[0] for r in rows])
+            cells = {"one_resample": 1, "default": proprisk.bootstrap.CHUNK_CELLS,
+                     "all_in_one": n_resamples * grid.n_cells}[budget]
+            chunk_betas = []
+
+            def recording(table, work=None, fit=proprisk.bootstrap.fit_tables):
+                result = fit(table, work)
+                chunk_betas.append(result.beta.copy())
+                return result
+
+            with monkeypatch.context() as m:
+                m.setattr("proprisk.bootstrap.CHUNK_CELLS", cells)
+                m.setattr("proprisk.bootstrap.fit_tables", recording)
+                r = percentile_bootstrap(data, BootstrapConfig(n_resamples=n_resamples, seed=seed))
+            _guard, *chunks = chunk_betas  # the guard's identity table comes first
+            chunk = max(1, cells // grid.n_cells)
+            assert [len(c) for c in chunks] == [min(chunk, n_resamples - s) for s in range(0, n_resamples, chunk)]
+            assert np.concatenate(chunks).tobytes() == own.tobytes(), name
+            assert r.betas.tobytes() == own[~np.isnan(own)].tobytes(), name
+            assert r.n_failed == np.isnan(own).sum(), name
+
+    def test_cases_fail_some_resamples(self):
+        data = _ties12()
+        own = fit_tables(event_grid(data).table(_oracle_rows(7, 1000, len(data)))).beta
+        assert 0 < np.isnan(own).sum() < 500

@@ -259,6 +259,14 @@ WRONG_TYPES = {
 }
 
 
+# a grid file whose JSON is not a list of scenario objects: kind -> file text
+NOT_OBJECTS = {
+    "number_file": "5",
+    "number_scenario": "[5]",
+    "string_file": '"x"',
+}
+
+
 def _grid_file(tmp_path, kind):
     """A one-scenario grid file: valid, or broken in the way ``kind`` names."""
 
@@ -307,6 +315,15 @@ def _grid_file(tmp_path, kind):
     elif kind == "missing_field":
         del obj["censor_rate"]
         path.write_text(json.dumps([obj]))
+    elif kind in NOT_OBJECTS:
+        path.write_text(NOT_OBJECTS[kind])
+    elif kind == "array_params":
+        path.write_text(json.dumps([dict(obj, params=[1, 2, 3])]))
+    elif kind == "unknown_field":
+        # a misspelled optional field would otherwise be ignored, here a calibrated c_max
+        path.write_text(json.dumps([dict(obj, extra=2)]))
+    elif kind == "unknown_param":
+        path.write_text(json.dumps([dict(obj, params=dict(obj["params"], k=2.0))]))
     elif kind in WRONG_TYPES:
         field, value = WRONG_TYPES[kind]
         (obj["params"] if field == "alpha" else obj)[field] = value
@@ -339,6 +356,10 @@ BAD_GRID_KINDS = [
     "zero_times",
     "missing_field",
     *WRONG_TYPES,
+    *NOT_OBJECTS,
+    "array_params",
+    "unknown_field",
+    "unknown_param",
 ]
 
 
@@ -435,6 +456,11 @@ class TestStudyCommand:
         ("missing_field", "missing field 'censor_rate'"),
         ("string_participants", "n_participants must be a number, got '50'"),
         ("bool_alpha", "model parameter alpha must be a number, got True"),
+        ("number_file", "expected a scenario object or a list of them, got a number"),
+        ("number_scenario", "scenario 0 must be an object, got a number"),
+        ("array_params", "scenario 0: params must be an object, got an array"),
+        ("unknown_field", "unknown field 'extra'"),
+        ("unknown_param", "unknown field 'k' in ppr_eu params"),
     ])
     def test_grid_file_error_names_the_field(self, tmp_path, kind, message, capsys):
         path = _grid_file(tmp_path, kind)

@@ -616,6 +616,8 @@ def _same_size_datasets(draw):
 @example([[(0.7724848797851422, 1, 1), (0.7761237321051168, 1, 1), (0.5986276180771464, 0, 1), (4.011751250916558, 1, 0)]])
 @example([TestCoxTwoGroup.FIRST_STEP_OVERSHOOTS])
 @example([TestCoxTwoGroup.FIRST_STEP_OVERSHOOTS + [(2.0, 0, 0), (2.5, 1, 0), (3.4, 0, 0)]])
+# exp(alpha*r - w) overflows in the EU information; 1/expm1 is then its limit 0.0
+@example([[(1.0, 0, 0), (1e-05, 0, 0), (1.0, 0, 1), (1.0, 0, 0), (1.0, 1, 0), (10.0 ** 0.015625, 0, 0), (1.0, 1, 1)]])
 def test_fits_return_or_raise_estimation_error(datasets):
     for rows in datasets:
         data = validate_dataset(rows)
