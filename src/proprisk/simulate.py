@@ -314,23 +314,26 @@ _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a bo
 def load_grid(path) -> list[Scenario]:
     """Scenario list from a JSON grid file (a list of scenario objects, or
     one object). A file that cannot be read or does not describe valid
-    scenarios raises ValidationError naming the file; a scenario, or its
-    params, that is not an object is named by its index in the file."""
+    scenarios raises ValidationError naming the file, and for an error in
+    one scenario its index in the file (from 0)."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, (dict, list)):
             raise ValueError(f"expected a scenario object or a list of them, got {_JSON_TYPES[type(raw)]}")
-        objs = [raw] if isinstance(raw, dict) else raw
-        for i, obj in enumerate(objs):
+        scenarios = []
+        for i, obj in enumerate([raw] if isinstance(raw, dict) else raw):
             if not isinstance(obj, dict):
                 raise ValueError(f"scenario {i} must be an object, got {_JSON_TYPES[type(obj)]}")
-            if not isinstance(obj.get("params", {}), dict):
-                raise ValueError(f"scenario {i}: params must be an object, got {_JSON_TYPES[type(obj['params'])]}")
-        scenarios = [scenario_from_dict(obj) for obj in objs]
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing field {exc}") from exc
-    except (OSError, OverflowError, TypeError, ValueError) as exc:
+            try:
+                if not isinstance(obj.get("params", {}), dict):
+                    raise ValueError(f"params must be an object, got {_JSON_TYPES[type(obj['params'])]}")
+                scenarios.append(scenario_from_dict(obj))
+            except KeyError as exc:
+                raise ValueError(f"scenario {i}: missing field {exc}") from exc
+            except (OverflowError, TypeError, ValueError) as exc:
+                raise ValueError(f"scenario {i}: {exc}") from exc
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     return scenarios
 

@@ -1,21 +1,21 @@
 """Simulation-study orchestration: run scenario grids, apply exclusion
 rules, aggregate bias, MSE, coverage and robustness counts.
 
-Exclusion rules:
+Each method fills one record: per replicate its estimate and interval
+ends, NaN where there is none. One rule (``_score``) scores each record:
+bias and MSE over the estimates, coverage over the intervals with both
+ends finite (NaN without coverage), and a count of the replicates without
+an estimate. NPPR has none where the restricted event-time set is empty
+or every entry is dropped (``n_nppr_failed``). The EU competitor has none,
+and no interval, where its fit did not converge or |beta| is NaN or above
+PPR_EXCLUSION_THRESHOLD (3, to screen numerical blow-ups;
+``n_ppr_excluded``); its delta interval is undefined on the support bound.
+It is fitted only for proportional-risk scenarios: for PH scenarios its
+record is empty and the PPR columns are NaN.
 
-* NPPR: a replicate where the restricted event-time set is empty (or every
-  entry is dropped) counts as a failure and contributes nothing to the
-  NPPR metrics.
-* PPR: replicates with |estimated effect| above PPR_EXCLUSION_THRESHOLD (3,
-  to screen obvious numerical blow-ups) or a non-converged fit are excluded
-  from the PPR metrics. The parametric competitor is only fitted when the
-  generating model satisfies the proportional-risk assumption; PPR columns
-  are NaN for proportional-hazards scenarios.
-
-Bias and MSE are computed per method over that method's own non-excluded
-replicates, against the scenario's nominal effect (for PH scenarios the
-nominal log HR is treated as the log RR). For PR scenarios the nominal
-effect is not exactly the generated one: the bundled EU scales
+Bias and MSE are measured against the scenario's nominal effect (for PH
+scenarios the nominal log HR is treated as the log RR). For PR scenarios
+the nominal effect is not exactly the generated one: the bundled EU scales
 (``simulate.EU_ALPHA``, ``EU_THETA1``, ``EU_THETA0``) imply
 beta = -alpha*log(theta1/theta0) = 0.5049, 0.2159, -0.2471 and -0.4942 for
 the nominal effects 0.5, 0.25, -0.25 and -0.5. So the PR effect-0.25 cells
@@ -96,6 +96,19 @@ def _mean(values) -> float:
     return float(np.mean(values)) if len(values) else math.nan
 
 
+def _score(record: np.ndarray, target: float, with_coverage: bool) -> tuple[float, float, float, int]:
+    """Bias, MSE, coverage and the count without an estimate of one
+    method's (3, R) record: per replicate its estimate and interval ends,
+    NaN where there is none. Bias and MSE are over the estimates, coverage
+    (NaN unless ``with_coverage``) over the intervals with both ends finite."""
+    estimate, lower, upper = record
+    err = estimate[~np.isnan(estimate)] - target
+    finite = np.isfinite(lower) & np.isfinite(upper)
+    covered = (lower[finite] <= target) & (target <= upper[finite])
+    return (_mean(err), _mean(err**2), _mean(covered) if with_coverage else math.nan,
+            estimate.shape[0] - err.shape[0])
+
+
 def _nppr_betas(time, status, group) -> np.ndarray:
     """The NPPR beta of each row of the (R, n) arrays, NaN where ``nppr_fit``
     raises: one ``fit_tables`` call on the rows' count tables, zero-padded to
@@ -128,28 +141,26 @@ def run_scenario(
         fit_competitor = scenario.model is Model.PPR_EU
     true_beta = scenario.effect_beta
 
-    nppr = np.empty(n_reps)
-    nppr_cover: list[bool] = []
-    # the EU fits: converged, then beta and its interval, NaN until solved
-    n_fits = n_reps if fit_competitor else 0
-    converged = np.zeros(n_fits, dtype=bool)
-    beta_p, lower, upper = np.full((3, n_fits), math.nan)
+    # one record per method: estimate, lower end, upper end per replicate, NaN where there is none
+    nppr = np.full((3, n_reps), math.nan)
+    ppr = np.full((3, n_reps if fit_competitor else 0), math.nan)
     pending: list[Lanes] = []
 
     def solve_pending() -> None:
         lanes = Lanes(*map(np.concatenate, zip(*pending)))
         alpha, theta, _, var_beta = solve_lanes(lanes)
         for rep, a, (t1, t0), v in zip(lanes.rows.tolist(), alpha.tolist(), theta.tolist(), var_beta.tolist()):
-            if not math.isnan(a):
-                converged[rep] = True
-                beta_p[rep], lower[rep], upper[rep] = beta_interval(a, t1, t0, v)
+            if not math.isnan(a):  # a NaN alpha: the fit did not converge
+                estimate = beta_interval(a, t1, t0, v)
+                if abs(estimate[0]) <= PPR_EXCLUSION_THRESHOLD:
+                    ppr[:, rep] = estimate
         pending.clear()
 
     chunk = max(1, CHUNK_ROWS // scenario.n_participants)
     for first in range(0, n_reps, chunk):
         reps = range(first, min(first + chunk, n_reps))
         cols = simulate_replicates(scenario, reps)
-        nppr[reps.start:reps.stop] = _nppr_betas(*cols)
+        nppr[0, reps.start:reps.stop] = _nppr_betas(*cols)
         if fit_competitor:
             lanes = prepare_lanes(*cols)[2]
             # solved before their censored rows would pass CHUNK_ROWS
@@ -166,25 +177,10 @@ def run_scenario(
                 ci = percentile_bootstrap(Dataset.from_columns(*row), cfg).ci_beta
             except EstimationError:
                 continue
-            nppr_cover.append(ci.lower <= true_beta <= ci.upper)
+            nppr[1:, rep] = ci.lower, ci.upper
     if pending:
         solve_pending()
 
-    err1 = nppr[~np.isnan(nppr)] - true_beta
-    kept = converged & ~(np.abs(beta_p) > PPR_EXCLUSION_THRESHOLD)
-    err_p = beta_p[kept] - true_beta
-    # the delta interval is undefined for boundary estimates
-    has_ci = kept & np.isfinite(lower) & np.isfinite(upper)
-    ppr_cover = (lower[has_ci] <= true_beta) & (true_beta <= upper[has_ci])
-    return ScenarioResult(
-        scenario=scenario,
-        n_runs=n_reps,
-        n_nppr_failed=n_reps - err1.shape[0],
-        n_ppr_excluded=int(np.count_nonzero(~kept)),
-        bias_nppr=_mean(err1),
-        bias_ppr=_mean(err_p),
-        mse_nppr=_mean(err1**2),
-        mse_ppr=_mean(err_p**2),
-        coverage_nppr=_mean(nppr_cover),
-        coverage_ppr=_mean(ppr_cover) if with_coverage else math.nan,
-    )
+    # the fields pair the methods: bias, MSE, coverage and count, NPPR then PPR
+    scores = zip(_score(nppr, true_beta, with_coverage), _score(ppr, true_beta, with_coverage))
+    return ScenarioResult(scenario, n_reps, *(x for pair in scores for x in pair))

@@ -315,6 +315,9 @@ def _grid_file(tmp_path, kind):
     elif kind == "missing_field":
         del obj["censor_rate"]
         path.write_text(json.dumps([obj]))
+    elif kind == "second_missing_field":
+        del weibull["censor_rate"]
+        path.write_text(json.dumps([obj, weibull]))
     elif kind in NOT_OBJECTS:
         path.write_text(NOT_OBJECTS[kind])
     elif kind == "array_params":
@@ -453,14 +456,15 @@ class TestStudyCommand:
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("kind, message", [
-        ("missing_field", "missing field 'censor_rate'"),
-        ("string_participants", "n_participants must be a number, got '50'"),
-        ("bool_alpha", "model parameter alpha must be a number, got True"),
+        ("missing_field", "scenario 0: missing field 'censor_rate'"),
+        ("second_missing_field", "scenario 1: missing field 'censor_rate'"),
+        ("string_participants", "scenario 0: n_participants must be a number, got '50'"),
+        ("bool_alpha", "scenario 0: model parameter alpha must be a number, got True"),
         ("number_file", "expected a scenario object or a list of them, got a number"),
         ("number_scenario", "scenario 0 must be an object, got a number"),
         ("array_params", "scenario 0: params must be an object, got an array"),
-        ("unknown_field", "unknown field 'extra'"),
-        ("unknown_param", "unknown field 'k' in ppr_eu params"),
+        ("unknown_field", "scenario 0: unknown field 'extra'"),
+        ("unknown_param", "scenario 0: unknown field 'k' in ppr_eu params"),
     ])
     def test_grid_file_error_names_the_field(self, tmp_path, kind, message, capsys):
         path = _grid_file(tmp_path, kind)

@@ -375,7 +375,7 @@ class TestMakeScenario:
         obj = json.dumps(scenario_to_dict(pr.make_scenario(Model.PPR_EU, 0.5, 0.3, 60)))
         path = tmp_path / "bad.json"
         path.write_text(obj.replace('"n_participants": 60', '"n_participants": 1' + "0" * 400))
-        with pytest.raises(pr.ValidationError, match=r"bad\.json: "):
+        with pytest.raises(pr.ValidationError, match=r"bad\.json: scenario 0: "):
             load_grid(path)
 
 
@@ -392,12 +392,12 @@ class TestGridSerialization:
         assert load_grid(path) == [sc]
         obj = dict(scenario_to_dict(sc), n_participants=0)
         path.write_text(json.dumps(obj))
-        with pytest.raises(pr.ValidationError, match=r"grid\.json: n_participants must be at least 1"):
+        with pytest.raises(pr.ValidationError, match=r"grid\.json: scenario 0: n_participants must be at least 1"):
             load_grid(path)
         obj = scenario_to_dict(sc)
         del obj["censor_rate"]
         path.write_text(json.dumps(obj))
-        with pytest.raises(pr.ValidationError, match=r"grid\.json: missing field 'censor_rate'"):
+        with pytest.raises(pr.ValidationError, match=r"grid\.json: scenario 0: missing field 'censor_rate'"):
             load_grid(path)
 
     @pytest.mark.parametrize("change, message", [
@@ -416,7 +416,7 @@ class TestGridSerialization:
             obj[key] = dict(obj[key], **value) if isinstance(value, dict) else value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([obj]))
-        with pytest.raises(pr.ValidationError, match=rf"bad\.json: {message}"):
+        with pytest.raises(pr.ValidationError, match=rf"bad\.json: scenario 0: {message}"):
             load_grid(path)
 
     def test_load_grid_rejects_zero_weibull_scale(self, tmp_path):
@@ -424,7 +424,7 @@ class TestGridSerialization:
         obj["params"]["lambda1"] = 0.0
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
-        with pytest.raises(pr.ValidationError, match=r"bad\.json: model parameter lambda1 must be positive"):
+        with pytest.raises(pr.ValidationError, match=r"bad\.json: scenario 0: model parameter lambda1 must be positive"):
             load_grid(path)
 
     def test_default_grid_shape(self):

@@ -81,6 +81,42 @@ class TestRunScenario:
         assert math.isnan(off.coverage_nppr)
 
 
+class TestScore:
+    """One rule scores every method's record: rows estimate, lower end,
+    upper end; NaN where there is none."""
+
+    NAN, INF = math.nan, math.inf
+    # replicate 1: no estimate but a finite interval; 2: a NaN end; 3: an infinite end;
+    # 5: neither estimate nor interval
+    RECORD = np.array([
+        [0.4, NAN, 0.7, 0.2, 0.55, NAN],
+        [0.1, 0.3, NAN, 0.1, 0.6, NAN],
+        [0.9, 0.8, 0.9, INF, 1.0, NAN],
+    ])
+
+    def test_against_a_direct_computation(self):
+        target = 0.5
+        bias, mse, coverage, failed = study._score(self.RECORD, target, True)
+        err = np.array([0.4, 0.7, 0.2, 0.55]) - target
+        assert bias == np.mean(err)
+        assert mse == np.mean(err**2)
+        # the intervals with both ends finite: replicates 0, 1 and 4
+        assert coverage == np.mean([0.1 <= target <= 0.9, 0.3 <= target <= 0.8, 0.6 <= target <= 1.0])
+        assert failed == 2
+
+    def test_without_coverage(self):
+        with_ci = study._score(self.RECORD, 0.5, True)
+        bias, mse, coverage, failed = study._score(self.RECORD, 0.5, False)
+        assert math.isnan(coverage)
+        assert (bias, mse, failed) == (with_ci[0], with_ci[1], with_ci[3])
+
+    def test_empty_record(self):
+        # no competitor fitted: no replicate, so nothing failed and no metric
+        bias, mse, coverage, failed = study._score(np.empty((3, 0)), 0.5, True)
+        assert math.isnan(bias) and math.isnan(mse) and math.isnan(coverage)
+        assert failed == 0
+
+
 class TestChunkedReplicates:
     """The study fits replicates in chunks; each replicate's numbers are
     those of its own fit."""
@@ -164,7 +200,7 @@ class TestEuCompetitor:
 
         fits = [pr.fit_ppr(pr.simulate_dataset(sc, rep)) for rep in range(reps)]
         beta = np.array([f.beta for f in fits])
-        kept = np.array([f.converged for f in fits]) & ~(np.abs(beta) > study.PPR_EXCLUSION_THRESHOLD)
+        kept = np.array([f.converged for f in fits]) & (np.abs(beta) <= study.PPR_EXCLUSION_THRESHOLD)
         err = beta[kept] - sc.effect_beta
         cover = [f.ci_beta.lower <= sc.effect_beta <= f.ci_beta.upper for f, k in zip(fits, kept) if k and f.ci_available]
         assert cover and not kept.all()
