@@ -455,18 +455,27 @@ class TestStudyCommand:
         assert out == ""
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    # For the kinds whose field check fails inside a scenario, the message is
+    # the check's own and the index is the scenario's: load_grid writes
+    # "scenario i: " before it.
+    FIELD_ERROR_SCENARIO = {"missing_field": 0, "second_missing_field": 1,
+                            "string_participants": 0, "bool_alpha": 0,
+                            "unknown_field": 0, "unknown_param": 0}
+
     @pytest.mark.parametrize("kind, message", [
-        ("missing_field", "scenario 0: missing field 'censor_rate'"),
-        ("second_missing_field", "scenario 1: missing field 'censor_rate'"),
-        ("string_participants", "scenario 0: n_participants must be a number, got '50'"),
-        ("bool_alpha", "scenario 0: model parameter alpha must be a number, got True"),
+        ("missing_field", "missing field 'censor_rate'"),
+        ("second_missing_field", "missing field 'censor_rate'"),
+        ("string_participants", "n_participants must be a number, got '50'"),
+        ("bool_alpha", "model parameter alpha must be a number, got True"),
         ("number_file", "expected a scenario object or a list of them, got a number"),
         ("number_scenario", "scenario 0 must be an object, got a number"),
         ("array_params", "scenario 0: params must be an object, got an array"),
-        ("unknown_field", "scenario 0: unknown field 'extra'"),
-        ("unknown_param", "scenario 0: unknown field 'k' in ppr_eu params"),
+        ("unknown_field", "unknown field 'extra'"),
+        ("unknown_param", "unknown field 'k' in ppr_eu params"),
     ])
     def test_grid_file_error_names_the_field(self, tmp_path, kind, message, capsys):
+        if kind in self.FIELD_ERROR_SCENARIO:
+            message = f"scenario {self.FIELD_ERROR_SCENARIO[kind]}: {message}"
         path = _grid_file(tmp_path, kind)
         code, out = run_cli("study", "--grid", path, "--reps", "1", "--seed", "1")
         assert code == 2
