@@ -16,18 +16,21 @@ results are independent of execution order and reproducible for a fixed
 seed. ``resample_rows`` gives exactly those rows without building a
 SeedSequence child or a Generator per resample:
 
-- Child seeds, per chunk, as uint32 array arithmetic. A child's entropy is
-  the seed's little-endian 32-bit words, zero-padded to the pool size of 4,
-  then its index, so its pool before the index is mixed in is the pool of
-  SeedSequence(seed), built once (numpy's own coercion, including the
-  extra mixing rounds of seeds longer than 4 words). The index's hash and
-  mix steps and generate_state(4, uint64)'s output hash follow numpy's
-  bit_generator.pyx, an implementation of O'Neill's seed_seq
-  (pcg-random.org, 2015).
-- One reused PCG64 is set to each child's state: the words give PCG64's
-  two-step srandom, computed in Python ints. Its raw 64-bit output is
-  read as numpy's next_uint32 reads it, low half first. No PCG64 step is
-  ported; the stream is numpy's own.
+- Child seeds as uint32 array arithmetic, for the whole chunks that fit in
+  CHILD_BLOCK children at once, so the hash's numpy calls run once per
+  block, not per chunk, and its arrays stay bounded at any B. A child's
+  entropy is the seed's little-endian 32-bit words, zero-padded to the
+  pool size of 4, then its index, so its pool before the index is mixed
+  in is the pool of SeedSequence(seed), built once (numpy's own coercion,
+  including the extra mixing rounds of seeds longer than 4 words). The
+  index's hash and mix steps and generate_state(4, uint64)'s output hash
+  follow numpy's bit_generator.pyx, an implementation of O'Neill's
+  seed_seq (pcg-random.org, 2015).
+- One reused PCG64 is set to each child's state through one reused state
+  dict: per chunk, the block's words give PCG64's two-step srandom,
+  computed in Python ints. Its raw 64-bit output is read as numpy's
+  next_uint32 reads it, low half first. No PCG64 step is ported; the
+  stream is numpy's own.
 - Row j is the high word of u_j * n, Lemire's bounded integer (ACM TOMACS
   29, 2019) as Generator.integers computes it. A resample in which any
   u_j falls in Lemire's rejection branch is redrawn by Generator.integers
@@ -36,8 +39,9 @@ SeedSequence child or a Generator per resample:
 NEP 19 does not promise stable Generator streams across numpy releases.
 tests/test_bootstrap.py::TestResampleRows checks these rows against
 default_rng on each child for seeds of one to five words and n from 1 to
-the bundled trial's size, and checks a resample that takes the rejection
-branch.
+the bundled trial's size, checks a resample that takes the rejection
+branch, and checks 1,600 children, over a block boundary, with a rejection
+in the second block.
 
 Computation: the resamples are not refitted one by one. Every row of the
 data falls in one cell (event-time bin, group, status) of the grid that
@@ -85,6 +89,8 @@ CHUNK_CELLS = 16384
 # Smallest share of resamples that must succeed; below it the bootstrap raises.
 MIN_SUCCESS_FRACTION = 0.5
 MAX_RESAMPLES = 2**32  # a child's index is one uint32 word
+# Child seeds hashed at once: the whole chunks that fit in this many children.
+CHILD_BLOCK = 1024
 
 # SeedSequence's hash and mix constants (numpy/random/bit_generator.pyx)
 # and PCG64's 128-bit LCG multiplier.
@@ -104,24 +110,18 @@ _OUT_CHAIN = _hash_chain(_INIT_B, _MULT_B, 0, 8)
 _OUT_BEFORE, _OUT_AFTER = _OUT_CHAIN[:-1].reshape(2, 4), _OUT_CHAIN[1:].reshape(2, 4)
 
 
-def _pcg64_states(pool: np.ndarray, spawn_chain: np.ndarray, children: np.ndarray) -> list[dict]:
-    """PCG64 state of default_rng(SeedSequence(seed, spawn_key=(k,))) for
-    each child index k, from the pool of SeedSequence(seed) and the hash
-    chain of the spawn word's 4 mixing steps."""
+def _child_words(pool: np.ndarray, spawn_chain: np.ndarray, children: np.ndarray) -> np.ndarray:
+    """The seed words (s_hi, s_lo, inc_hi, inc_lo), uint64 (children, 4), that
+    generate_state(4, uint64) gives default_rng(SeedSequence(seed,
+    spawn_key=(k,))) for each child index k, from the pool of
+    SeedSequence(seed) and the hash chain of the spawn word's 4 mixing steps."""
     v = (children.astype(np.uint32)[:, None] ^ spawn_chain[:-1]) * spawn_chain[1:]
     v ^= v >> 16
     p = _MIX_L * pool - _MIX_R * v  # the spawn word mixed into each pool word
     p ^= p >> 16
     w = (p[:, None, :] ^ _OUT_BEFORE) * _OUT_AFTER
     w ^= w >> 16
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in w.astype("<u4", copy=False).view("<u8").reshape(-1, 4).tolist():
-        # PCG64's srandom: inc = 2 * seq + 1, then two LCG steps around adding the seed
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) % 2**128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) % 2**128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+    return w.astype("<u4", copy=False).view("<u8").reshape(-1, 4)
 
 
 def resample_rows(seed: int, n: int, n_resamples: int, chunk: int):
@@ -138,13 +138,22 @@ def resample_rows(seed: int, n: int, n_resamples: int, chunk: int):
     spawn_chain = _hash_chain(_INIT_A, _MULT_A, 4 * n_words, 4)
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
+    pcg = {"state": 0, "inc": 0}  # one state dict, set to each child in turn
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     half = (n + 1) // 2
     threshold = (2**32 - n) % n  # a draw whose low word is below this is rejected
+    block = chunk * max(1, CHILD_BLOCK // chunk)
     raw_buf = np.empty((min(chunk, n_resamples), half), dtype=np.uint64)  # every chunk's raw words
     for start in range(0, n_resamples, chunk):
-        states = _pcg64_states(pool, spawn_chain, np.arange(start, min(start + chunk, n_resamples)))
-        raw = raw_buf[:len(states)]
-        for i, state in enumerate(states):
+        if start % block == 0:
+            words = _child_words(pool, spawn_chain, np.arange(start, min(start + block, n_resamples)))
+        seeds = []
+        for s_hi, s_lo, i_hi, i_lo in words[start % block:start % block + chunk].tolist():
+            # PCG64's srandom: inc = 2 * seq + 1, then two LCG steps around adding the seed
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) % 2**128
+            seeds.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) % 2**128, inc))
+        raw = raw_buf[:len(seeds)]
+        for i, (pcg["state"], pcg["inc"]) in enumerate(seeds):
             bitgen.state = state
             raw[i] = bitgen.random_raw(half)
         u = raw.astype("<u8", copy=False).view("<u4")[:, :n]  # next_uint32 takes the low half first
@@ -154,7 +163,8 @@ def resample_rows(seed: int, n: int, n_resamples: int, chunk: int):
         rejected = np.flatnonzero((low < threshold).any(axis=1))
         rows = np.right_shift(prod, 32, out=prod).view(np.int64)  # below 2**32: an intp index, not a copy
         for i in rejected:
-            bitgen.state = states[i]
+            pcg["state"], pcg["inc"] = seeds[i]
+            bitgen.state = state
             rows[i] = gen.integers(0, n, size=n)
         yield rows
 

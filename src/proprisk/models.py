@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from .survival import ConfidenceInterval, Dataset, canonical_order, event_grid, events_at_risk
 
 LEVEL = 0.95  # confidence level of the Wald intervals of the EU and Cox fits
-Z = NormalDist().inv_cdf(0.5 + LEVEL / 2.0)  # their half-width in standard errors
+Z = 1.9599639845400536  # their half-width in standard errors, the normal 0.975 quantile
 
 
 @dataclass(frozen=True)

@@ -109,15 +109,20 @@ def _workspace(work: Workspace | None, values: np.ndarray) -> Workspace:
     return Workspace.empty(values.shape[:-1], values.shape[-1]) if work is None else work
 
 
-def build_event_time_set(d: np.ndarray, work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The overlap window of the events d (..., K, 2): a mask (..., K) of the
-    times with an event that lie at or after each group's first event and at
-    or before each group's last, and the events m (..., K) of both groups,
-    the multiplicity of each time. The window is empty when a group has no
-    events or all of one group's events precede the other's first."""
+def build_event_time_set(d: np.ndarray, surv: np.ndarray, work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The overlap window of the events d (..., K, 2) and their Kaplan-Meier
+    survival ``surv``: a mask (..., K) of the times with an event that lie
+    at or after each group's first event and at or before each group's
+    last, and the events m (..., K) of both groups, the multiplicity of
+    each time. The window is empty when a group has no events or all of one
+    group's events precede the other's first.
+
+    A group has an event at or before t exactly where S(t) < 1: a time
+    without an event multiplies S by exactly 1.0, one with d >= 1 events
+    among n < 2**32 at risk by at most 1 - 2**-32, and no factor exceeds 1."""
     work = _workspace(work, d[..., 0])
-    # an event at or before, and one at or after: positive cumulative and suffix sums
-    inside = np.greater(np.cumsum(d, axis=-2, out=work.int_scratch), 0, out=work.inside)
+    # an event at or before: S < 1; one at or after: a positive suffix sum
+    inside = np.less(surv, 1.0, out=work.inside)
     np.cumsum(d[..., ::-1, :], axis=-2, out=work.int_scratch[..., ::-1, :])
     inside &= np.greater(work.int_scratch, 0, out=work.bool_scratch)
     m = np.add(d[..., 0], d[..., 1], out=work.m)  # not .sum(axis=-1): slow over a length-2 axis
@@ -169,7 +174,7 @@ def fit_tables(table: np.ndarray, work: Workspace | None = None) -> TableFit:
     b, k = table.shape[0], table.shape[1] - 1
     work = Workspace.empty((b,), k) if work is None else work.head(b)
     d, surv, gsum = kaplan_meier(table, work)
-    window, m = build_event_time_set(d, work)
+    window, m = build_event_time_set(d, surv, work)
     beta_t, omega, usable = pointwise_log_rr(surv, gsum, window, work)
     beta, total = nppr_point_estimate(beta_t, omega, usable, m, work)
     return TableFit(surv, m, window, beta_t, omega, usable, beta, total)

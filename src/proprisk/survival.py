@@ -187,7 +187,11 @@ class Workspace(NamedTuple):
     (..., K + 1, 2, 2). Each stage writes its outputs, and its temporaries
     into the scratch buffers, through numpy's ``out=`` arguments, so a
     caller that fits chunk after chunk of tables allocates them once. A
-    stage given no workspace allocates one; the arithmetic is the same."""
+    stage given no workspace allocates one; the arithmetic is the same.
+    ``kaplan_meier`` keeps its float counts in buffers that are free while
+    it runs: the events in ``int_scratch`` seen as float64, until the
+    window's suffix sum overwrites them, and the at-risk sizes in ``gsum``,
+    until the Greenwood sums do."""
 
     at_risk: np.ndarray  # rows per bin, then the at-risk sizes
     int_scratch: np.ndarray
@@ -255,14 +259,26 @@ def kaplan_meier(table: np.ndarray, work: Workspace | None = None) -> tuple[np.n
     product as 1.0 and its sum as 0.0, so S and G are carried forward
     exactly as right-continuous step functions; G is +inf from the step
     where the group's risk set is exhausted.
+
+    The divisions run on float copies of the counts (see ``Workspace``),
+    with the bits of integer-count arithmetic: the counts and n - d are
+    exact in float64, and the float n(n - d) is the correctly rounded exact
+    product, which the int64 product gave after its cast (and overflowed
+    from n of about 3.04e9). Both groups' Greenwood sums run as one cumsum
+    over the (..., K) complex128 view of their (..., K, 2) terms: a complex
+    add is the two groups' float adds, in the same order.
     """
     if work is None:
         work = Workspace.empty(table.shape[:-3], table.shape[-3] - 1)
     d, n = events_at_risk(table, work)
-    np.maximum(n, 1, out=n)  # an empty risk set has no event; keeps 1.0 and 0.0 exact
+    fd, fn = work.int_scratch.view(np.float64), work.gsum
+    np.copyto(fd, d)
+    np.copyto(fn, n)
+    np.maximum(fn, 1.0, out=fn)  # an empty risk set has no event; keeps 1.0 and 0.0 exact
     with np.errstate(divide="ignore"):
-        q = np.divide(d, n, out=work.float_scratch)
+        q = np.divide(fd, fn, out=work.float_scratch)
         surv = np.cumprod(np.subtract(1.0, q, out=q), axis=-2, out=work.surv)
-        nd = np.multiply(n, np.subtract(n, d, out=work.int_scratch), out=work.int_scratch)
-        gsum = np.cumsum(np.divide(d, nd, out=q), axis=-2, out=work.gsum)
-    return d, surv, gsum
+        nd = np.multiply(fn, np.subtract(fn, fd, out=q), out=q)
+        terms = np.divide(fd, nd, out=q).view(np.complex128)[..., 0]
+        np.cumsum(terms, axis=-1, out=work.gsum.view(np.complex128)[..., 0])
+    return d, surv, work.gsum

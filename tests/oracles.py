@@ -100,6 +100,18 @@ def _km_steps(times, status):
         return uniq[keep], np.cumprod(1.0 - d / n), np.cumsum(d / (n * (n - d)))
 
 
+def km_int_counts(table):
+    """Kaplan-Meier survival and Greenwood sums (..., K, 2) of count tables
+    (..., K + 1, 2, 2) in the kernel's earlier arithmetic: int64 events and
+    at-risk sizes, d/n and d/(n(n - d)) divided from them into floats, and
+    one float cumsum per group along the event times."""
+    d = table[..., 1:, :, 1]
+    rows = table[..., 0] + table[..., 1]
+    n = np.maximum(np.cumsum(rows[..., ::-1, :], axis=-2)[..., ::-1, :][..., 1:, :], 1)
+    with np.errstate(divide="ignore"):
+        return np.cumprod(1.0 - d / n, axis=-2), np.cumsum(d / (n * (n - d)), axis=-2)
+
+
 def _step(event_times, values, t, before):
     """Right-continuous step function through (event_times, values) at t."""
     idx = np.searchsorted(event_times, t, side="right") - 1

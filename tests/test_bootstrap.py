@@ -110,6 +110,26 @@ class TestResampleRows:
         rows = np.concatenate(list(resample_rows(seed, n, n_resamples, 2)))
         np.testing.assert_array_equal(rows, oracle)
 
+    def test_rows_across_child_blocks(self):
+        # at chunk 7 the child seeds are hashed 1,022 at a time (146 chunks),
+        # so the chunk at 1,022 starts the second block; with seed 0 at
+        # n=2050 exactly resample 1,497, in that block, has a rejected draw.
+        # Compared chunk by chunk: all 1,600 resamples at once take 26 MB.
+        seed, n, n_resamples, chunk = 0, 2050, 1600, 7
+        assert proprisk.bootstrap.CHILD_BLOCK // chunk * chunk == 1022
+        children = np.random.SeedSequence(seed).spawn(n_resamples)
+        starts, redrawn = [], []
+        for start, rows in zip(range(0, n_resamples, chunk), resample_rows(seed, n, n_resamples, chunk)):
+            starts.append(start)
+            for i, (got, child) in enumerate(zip(rows, children[start:start + chunk]), start):
+                want = np.random.default_rng(child).integers(0, n, size=n)
+                np.testing.assert_array_equal(got, want)
+                mapped = (np.random.PCG64(child).random_raw(n // 2).astype("<u8").view("<u4") * np.uint64(n)) >> 32
+                if (mapped != want).any():
+                    redrawn.append(i)
+        assert redrawn == [1497]
+        assert 1022 in starts and starts[-1] == 1596
+
     def test_negative_seed_raises(self):
         with pytest.raises(ValueError):
             next(resample_rows(-1, 5, 4, 2))

@@ -32,6 +32,13 @@ EU = EuParams(0.859, 0.005, 0.009)
 WEIB = WeibullPhParams(0.916, 145.575, 88.296)
 
 
+def test_wald_half_width_is_the_normal_quantile():
+    # models.Z is written as a literal so that importing proprisk skips statistics
+    from statistics import NormalDist
+
+    assert models.Z == NormalDist().inv_cdf(0.5 + models.LEVEL / 2.0)
+
+
 class TestEuDistribution:
     def test_uniform_special_case(self):
         p = EuParams(1.0, 0.01, 0.01)

@@ -14,7 +14,7 @@ from proprisk.nppr import (
     nppr_point_estimate,
     pointwise_log_rr,
 )
-from proprisk.survival import validate_dataset
+from proprisk.survival import kaplan_meier, validate_dataset
 
 from oracles import nppr_oracle
 
@@ -26,26 +26,32 @@ def _data(rows1, rows0):
 
 
 def _events(*columns):
-    """A batch of event arrays (B, K, 2) from per-table lists of (d0, d1)."""
-    return np.array(columns, dtype=np.int64)
+    """The events (B, K, 2) of per-table lists of (d0, d1) and their
+    Kaplan-Meier survival, the arguments of build_event_time_set. Each group
+    has one more row, censored at the last event time, so no risk set runs out."""
+    table = np.zeros((len(columns), len(columns[0]) + 1, 2, 2), dtype=np.int64)
+    table[:, 1:, :, 1] = columns
+    table[:, -1, :, 0] = 1
+    d, surv, _ = kaplan_meier(table)
+    return d, surv
 
 
 class TestEventTimeSet:
     def test_overlap_window(self):
         # group 1 events at 2 and 5, group 0 at 3 and 7: the window is [3, 5]
-        window, m = build_event_time_set(_events([(0, 1), (1, 0), (0, 1), (1, 0)]))
+        window, m = build_event_time_set(*_events([(0, 1), (1, 0), (0, 1), (1, 0)]))
         np.testing.assert_array_equal(window, [[False, True, True, False]])
         res = nppr_fit(_data([(2, 1), (5, 1)], [(3, 1), (7, 1)]))
         assert (res.t_min, res.t_max) == (3.0, 5.0)
 
     def test_full_tie_retention(self):
-        window, m = build_event_time_set(_events([(1, 1), (1, 1), (1, 1)]))
+        window, m = build_event_time_set(*_events([(1, 1), (1, 1), (1, 1)]))
         assert window.all()
         np.testing.assert_array_equal(np.repeat([1.0, 2.0, 3.0], m[0]), [1, 1, 2, 2, 3, 3])
 
     def test_disjoint_windows_empty(self):
         # group 1 events at 1 and 2, group 0 at 5 and 6
-        window, _ = build_event_time_set(_events([(0, 1), (0, 1), (1, 0), (1, 0)]))
+        window, _ = build_event_time_set(*_events([(0, 1), (0, 1), (1, 0), (1, 0)]))
         assert not window.any()
         with pytest.raises(EstimationError, match="empty"):
             nppr_fit(_data([(1, 1), (2, 1)], [(5, 1), (6, 1)]))
@@ -53,7 +59,7 @@ class TestEventTimeSet:
     def test_no_events_empty(self):
         # one table per group without events, in one batch; a censoring-only
         # column (0, 0) is never in the window
-        window, m = build_event_time_set(_events([(1, 0), (0, 0), (1, 0)], [(0, 1), (0, 0), (0, 1)]))
+        window, m = build_event_time_set(*_events([(1, 0), (0, 0), (1, 0)], [(0, 1), (0, 0), (0, 1)]))
         assert window.shape == (2, 3) and not window.any()
         np.testing.assert_array_equal(m, [[1, 0, 1], [1, 0, 1]])
 

@@ -134,6 +134,17 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_statistics_unloaded():
+    # statistics pulls in fractions and decimal, milliseconds of every CLI call;
+    # the one number taken from it, models.Z, is a literal
+    env = dict(os.environ, PYTHONPATH=str(Path(proprisk.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, proprisk.cli; print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_synthetic_trial_script_regenerates_bundled_file(tmp_path):
     # every trial figure in the tests and the benchmark rests on this file
     root = Path(__file__).resolve().parents[1]

@@ -7,10 +7,19 @@ from hypothesis import strategies as st
 
 from types import SimpleNamespace
 
-from proprisk import Dataset, ValidationError
-from proprisk.survival import canonical_order, cell_codes, event_grid, events_at_risk, kaplan_meier, validate_dataset
+from proprisk import Dataset, Model, ValidationError, make_scenario, simulate_dataset
+from proprisk.survival import (
+    Workspace,
+    canonical_order,
+    cell_codes,
+    count_tables,
+    event_grid,
+    events_at_risk,
+    kaplan_meier,
+    validate_dataset,
+)
 
-from oracles import canonical_order_lexsort, cell_codes_lexsort, event_grid_oracle, km_oracle, tie_heavy
+from oracles import canonical_order_lexsort, cell_codes_lexsort, event_grid_oracle, km_int_counts, km_oracle, tie_heavy
 
 
 class TestValidateDataset:
@@ -222,6 +231,56 @@ def test_km_no_censoring_matches_empirical_cdf(rows):
     c = _curve(t, np.ones(len(times), dtype=int))
     for u, s in zip(c.event_times, c.survival):
         assert 1.0 - s == pytest.approx(np.mean(t <= u), abs=1e-12)
+
+
+def _study_tables(shape, seed):
+    """Count tables of tie-heavy datasets (R, n), zero-padded to a common K
+    as the study counts them."""
+    codes = cell_codes(*tie_heavy(shape, seed))
+    return count_tables(codes, (int(codes.max()) | 3) + 1)
+
+
+def _resample_tables():
+    """Count tables of 30 resamples of a simulated PR 0.5, 30% cell at n=300."""
+    data = simulate_dataset(make_scenario(Model.PPR_EU, 0.5, 0.3, 300, seed=4), 0)
+    return event_grid(data).table(np.random.default_rng(4).integers(0, 300, size=(30, 300)))
+
+
+KM_TABLES = {
+    "tiny_tied": lambda: _study_tables((300, 6), 1),  # times 1..3: exhausted and empty groups
+    "study_padded": lambda: _study_tables((40, 400), 2),
+    "resamples": _resample_tables,
+}
+
+
+class TestKaplanMeierBits:
+    """kaplan_meier on float counts, with both groups' Greenwood sums in one
+    complex cumsum, against the int-count arithmetic it replaced, byte for
+    byte, infinities included; and the window's left edge S < 1 against a
+    cumulative event count."""
+
+    @pytest.mark.parametrize("lead", ["scalar", "one", "batch", "reused_workspace"])
+    @pytest.mark.parametrize("case", list(KM_TABLES))
+    def test_equals_int_count_arithmetic(self, case, lead):
+        tables = KM_TABLES[case]()
+        table = tables[0] if lead == "scalar" else tables[:1] if lead == "one" else tables
+        work = None
+        if lead == "reused_workspace":  # buffers left holding another batch's stages
+            work = Workspace.empty(tables.shape[:1], tables.shape[1] - 1)
+            kaplan_meier(tables[::-1].copy(), work)
+        d, surv, gsum = kaplan_meier(table, work)
+        want_surv, want_gsum = km_int_counts(table)
+        assert surv.shape == gsum.shape == want_surv.shape == table.shape[:-3] + (table.shape[-3] - 1, 2)
+        assert surv.tobytes() == want_surv.tobytes() and gsum.tobytes() == want_gsum.tobytes()
+        np.testing.assert_array_equal(surv < 1.0, np.cumsum(d, axis=-2) > 0)
+
+    def test_cases_cover_exhaustion_padding_and_no_events(self):
+        tiny, padded = KM_TABLES["tiny_tied"](), KM_TABLES["study_padded"]()
+        _, surv, gsum = kaplan_meier(tiny)
+        assert np.isinf(gsum).any() and (surv == 0.0).any()  # risk sets run out
+        assert (surv[:, -1, :] == 1.0).any()  # a group without events
+        rows = padded.sum(axis=(-1, -2))
+        assert (rows[:, -1] == 0).any() and (rows[:, -1] > 0).any()  # some tables padded, some not
 
 
 @given(group_rows(), group_rows())
