@@ -67,9 +67,9 @@ byte for byte at chunks of one resample, the default and all B.
 
 Guard: the interval is meaningless when the point estimate is undefined.
 The original data are the resample that takes every row once, so the
-guard runs the kernel on the identity table, grid.table()[None], and
-raises EstimationError where its beta is NaN, which is exactly where
-nppr_fit raises on the data. The caller's own point fit is not repeated.
+guard runs the kernel on the identity table, grid.table()[None], in the
+call's workspace, and raises EstimationError where its beta is NaN,
+which is exactly where nppr_fit raises on the data.
 """
 from __future__ import annotations
 
@@ -219,9 +219,9 @@ def percentile_bootstrap(data: Dataset, config: BootstrapConfig) -> BootstrapRes
     n = len(data)
     grid = event_grid(data)
     chunk = max(1, CHUNK_CELLS // grid.n_cells)
-    if np.isnan(fit_tables(grid.table()[None]).beta[0]):
-        raise EstimationError("NPPR estimate undefined on the original data")
     work = Workspace.empty((min(chunk, config.n_resamples),), grid.event_times.shape[0])
+    if np.isnan(fit_tables(grid.table()[None], work).beta[0]):
+        raise EstimationError("NPPR estimate undefined on the original data")
     betas = np.empty(config.n_resamples)
     chunks = resample_rows(config.seed, n, config.n_resamples, chunk)
     for start, rows in zip(range(0, config.n_resamples, chunk), chunks):

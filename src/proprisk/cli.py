@@ -21,7 +21,7 @@ from pathlib import Path
 from .bootstrap import MAX_RESAMPLES, BootstrapConfig, percentile_bootstrap
 from .errors import EstimationError, ValidationError
 from .models import cox_two_group, fit_ppr
-from .nppr import nppr_fit
+from .nppr import fit_tables, nppr_fit
 from .reporting import (
     build_report,
     cox_report,
@@ -34,7 +34,7 @@ from .reporting import (
 )
 from .simulate import default_grid, load_grid, reseed, simulate_dataset
 from .study import run_scenario
-from .survival import event_grid, kaplan_meier
+from .survival import event_grid
 
 EXIT_OK = 0
 EXIT_CLOSED_STDOUT = 1
@@ -124,9 +124,9 @@ def _cmd_plotdata(args) -> int:
     data = read_dataset_csv(args.data)
     writer = csv.writer(sys.stdout)
     if args.series == "cdf":
-        # Kaplan-Meier only: the CDFs exist even where the NPPR window is empty
+        # the fit's Kaplan-Meier CDFs exist even where the NPPR window is empty
         grid = event_grid(data)
-        cdf = 1.0 - kaplan_meier(grid.table())[1]
+        cdf = 1.0 - fit_tables(grid.table()[None]).surv[0]
         writer.writerow(["time", "cdf_treatment", "cdf_control"])
         writer.writerows(zip(grid.event_times.tolist(), cdf[:, 1].tolist(), cdf[:, 0].tolist()))
         return EXIT_OK

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .survival import ConfidenceInterval, Dataset, canonical_order, event_grid, events_at_risk
+from .survival import ConfidenceInterval, Dataset, Workspace, canonical_order, event_grid, events_at_risk
 
 LEVEL = 0.95  # confidence level of the Wald intervals of the EU and Cox fits
 Z = 1.9599639845400536  # their half-width in standard errors, the normal 0.975 quantile
@@ -480,7 +480,8 @@ def cox_two_group(data: Dataset) -> CoxFit:
     (all of one group's events before any of the other's in risk-set
     terms) do not converge and are reported as such.
     """
-    events, at_risk = events_at_risk(event_grid(data).table())
+    grid = event_grid(data)
+    events, at_risk = events_at_risk(grid.table(), Workspace.empty((), grid.event_times.shape[0]))
     d, d1 = events.sum(axis=1), events[:, 1]
     n_at, n1_at = at_risk.sum(axis=1), at_risk[:, 1]
     no_ci = ConfidenceInterval(math.nan, math.nan, LEVEL)

@@ -19,8 +19,8 @@ tables (B, K + 1, 2, 2) over a shared event-time grid (see
 data, the bootstrap on chunks of resample tables. Its stages,
 ``survival.kaplan_meier``, ``build_event_time_set``, ``pointwise_log_rr``
 and ``nppr_point_estimate``, are array operations over (B, K) or (B, K, 2)
-that write into a ``survival.Workspace``: the bootstrap passes one for all
-its chunks, and every other caller lets ``fit_tables`` allocate one.
+that write into the ``survival.Workspace`` they are given; the filled
+workspace is the fit.
 
 The derived absolute measures are the risk difference
 RD(t) = (1 - exp(-beta)) * F0(t) and the number needed to treat 1/RD(t).
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -91,25 +90,7 @@ class NpprResult:
     cdf: np.ndarray
 
 
-class TableFit(NamedTuple):
-    """The kernel's stage outputs for B count tables over K event times."""
-
-    surv: np.ndarray  # (B, K, 2) Kaplan-Meier survival per group
-    m: np.ndarray  # (B, K) events of both groups at each time
-    window: np.ndarray  # (B, K) event times inside the overlap window
-    beta_t: np.ndarray  # (B, K)
-    omega: np.ndarray  # (B, K)
-    usable: np.ndarray  # (B, K) in the window, omega finite and positive
-    beta: np.ndarray  # (B,) NaN where no time is usable
-    total_weight: np.ndarray  # (B,)
-
-
-def _workspace(work: Workspace | None, values: np.ndarray) -> Workspace:
-    """``work``, or a new workspace for the stage arrays ``values`` (..., K)."""
-    return Workspace.empty(values.shape[:-1], values.shape[-1]) if work is None else work
-
-
-def build_event_time_set(d: np.ndarray, surv: np.ndarray, work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+def build_event_time_set(d: np.ndarray, surv: np.ndarray, work: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """The overlap window of the events d (..., K, 2) and their Kaplan-Meier
     survival ``surv``: a mask (..., K) of the times with an event that lie
     at or after each group's first event and at or before each group's
@@ -120,7 +101,6 @@ def build_event_time_set(d: np.ndarray, surv: np.ndarray, work: Workspace | None
     A group has an event at or before t exactly where S(t) < 1: a time
     without an event multiplies S by exactly 1.0, one with d >= 1 events
     among n < 2**32 at risk by at most 1 - 2**-32, and no factor exceeds 1."""
-    work = _workspace(work, d[..., 0])
     # an event at or before: S < 1; one at or after: a positive suffix sum
     inside = np.less(surv, 1.0, out=work.inside)
     np.cumsum(d[..., ::-1, :], axis=-2, out=work.int_scratch[..., ::-1, :])
@@ -131,12 +111,11 @@ def build_event_time_set(d: np.ndarray, surv: np.ndarray, work: Workspace | None
     return window, m
 
 
-def pointwise_log_rr(surv: np.ndarray, gsum: np.ndarray, window: np.ndarray, work: Workspace | None = None):
+def pointwise_log_rr(surv: np.ndarray, gsum: np.ndarray, window: np.ndarray, work: Workspace):
     """beta_t = -log(F1/F0) and omega = G1/F1^2 + G0/F0^2 at every time from
     the survival and Greenwood sums (..., K, 2), and the mask of usable
     times: in the window with a finite, positive omega. Times outside the
     window hold infinities and NaNs."""
-    work = _workspace(work, window)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.subtract(1.0, surv, out=work.float_scratch)
         beta_t = np.divide(f[..., 1], f[..., 0], out=work.beta_t)
@@ -148,11 +127,10 @@ def pointwise_log_rr(surv: np.ndarray, gsum: np.ndarray, window: np.ndarray, wor
     return beta_t, omega, usable
 
 
-def nppr_point_estimate(beta_t, omega, usable, m, work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+def nppr_point_estimate(beta_t, omega, usable, m, work: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Weighted mean of beta_t over the usable times, weights m/omega, and
     the total weight; the mean is 0/0 = NaN where no time is usable, the
     only place where the total weight is 0."""
-    work = _workspace(work, beta_t)
     unusable = np.logical_not(usable, out=work.flag)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.divide(1.0, omega, out=work.weight)
@@ -165,19 +143,19 @@ def nppr_point_estimate(beta_t, omega, usable, m, work: Workspace | None = None)
     return beta, total
 
 
-def fit_tables(table: np.ndarray, work: Workspace | None = None) -> TableFit:
-    """NPPR fit of each count table (B, K + 1, 2, 2); beta is NaN where the
-    estimate is undefined (a group without events, an empty window, no
-    usable time). The stages write into ``work``, a workspace for at least
-    B tables over the same K (see ``survival.Workspace``), or into one
-    allocated here; the fit's arrays are views of it."""
+def fit_tables(table: np.ndarray, work: Workspace | None = None) -> Workspace:
+    """NPPR fit of each count table (B, K + 1, 2, 2): the workspace its
+    stages filled, ``work`` (for at least B tables over the same K, see
+    ``survival.Workspace``) cut to B tables, or one allocated here. beta is
+    NaN where the estimate is undefined (a group without events, an empty
+    window, no usable time)."""
     b, k = table.shape[0], table.shape[1] - 1
     work = Workspace.empty((b,), k) if work is None else work.head(b)
     d, surv, gsum = kaplan_meier(table, work)
     window, m = build_event_time_set(d, surv, work)
     beta_t, omega, usable = pointwise_log_rr(surv, gsum, window, work)
-    beta, total = nppr_point_estimate(beta_t, omega, usable, m, work)
-    return TableFit(surv, m, window, beta_t, omega, usable, beta, total)
+    nppr_point_estimate(beta_t, omega, usable, m, work)
+    return work
 
 
 def risk_difference_curve(result: NpprResult) -> RiskDifferenceCurve:

@@ -186,12 +186,13 @@ class Workspace(NamedTuple):
     ``events_at_risk`` and the stages in ``nppr``) for count tables
     (..., K + 1, 2, 2). Each stage writes its outputs, and its temporaries
     into the scratch buffers, through numpy's ``out=`` arguments, so a
-    caller that fits chunk after chunk of tables allocates them once. A
-    stage given no workspace allocates one; the arithmetic is the same.
-    ``kaplan_meier`` keeps its float counts in buffers that are free while
-    it runs: the events in ``int_scratch`` seen as float64, until the
-    window's suffix sum overwrites them, and the at-risk sizes in ``gsum``,
-    until the Greenwood sums do."""
+    caller that fits chunk after chunk of tables allocates them once. After
+    ``nppr.fit_tables`` the workspace is the fit: ``surv``, ``gsum``, ``m``,
+    ``window``, ``beta_t``, ``omega``, ``usable``, ``beta`` and
+    ``total_weight``. ``kaplan_meier`` keeps its float counts in buffers
+    that are free while it runs: the events in ``int_scratch`` seen as
+    float64, until the window's suffix sum overwrites them, and the at-risk
+    sizes in ``gsum``, until the Greenwood sums do."""
 
     at_risk: np.ndarray  # rows per bin, then the at-risk sizes
     int_scratch: np.ndarray
@@ -239,18 +240,16 @@ class Workspace(NamedTuple):
         return self if b == self.beta.shape[0] else self._make(a[:b] for a in self)
 
 
-def events_at_risk(table: np.ndarray, work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+def events_at_risk(table: np.ndarray, work: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Events and at-risk sizes per event time and group of a count table
     (..., K + 1, 2, 2), both (..., K, 2). A row censored at an event time
     is still at risk there."""
-    if work is None:
-        work = Workspace.empty(table.shape[:-3], table.shape[-3] - 1)
     rows = np.add(table[..., 0], table[..., 1], out=work.at_risk)  # not .sum(axis=-1): slow over a length-2 axis
     np.cumsum(rows[..., ::-1, :], axis=-2, out=rows[..., ::-1, :])
     return table[..., 1:, :, 1], rows[..., 1:, :]
 
 
-def kaplan_meier(table: np.ndarray, work: Workspace | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def kaplan_meier(table: np.ndarray, work: Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kaplan-Meier estimate of both groups of count tables (..., K + 1, 2, 2).
 
     Returns the events d, the survival S and the Greenwood sum
@@ -268,8 +267,6 @@ def kaplan_meier(table: np.ndarray, work: Workspace | None = None) -> tuple[np.n
     over the (..., K) complex128 view of their (..., K, 2) terms: a complex
     add is the two groups' float adds, in the same order.
     """
-    if work is None:
-        work = Workspace.empty(table.shape[:-3], table.shape[-3] - 1)
     d, n = events_at_risk(table, work)
     fd, fn = work.int_scratch.view(np.float64), work.gsum
     np.copyto(fd, d)

@@ -28,7 +28,7 @@ from proprisk.models import EuParams, WeibullPhParams, eu_quantile, weibull_ph_q
 from proprisk.reporting import read_dataset_csv
 from proprisk.simulate import Model
 from proprisk.study import run_scenario
-from proprisk.survival import cell_codes, count_tables, events_at_risk, kaplan_meier, validate_dataset
+from proprisk.survival import Workspace, cell_codes, count_tables, kaplan_meier, validate_dataset
 
 from oracles import cox_grid_oracle, eu_cdf, km_oracle, nppr_oracle, weibull_ph_cdf
 
@@ -317,8 +317,9 @@ def test_criterion_6_km_exhaustive_enumeration():
         time = np.broadcast_to(np.array(times), status.shape)
         codes = cell_codes(time, status, group)
         table = count_tables(codes, 4 * (n + 1))
-        events, surv, gsum = kaplan_meier(table)
-        at_risk = events_at_risk(table)[1]
+        work = Workspace.empty(table.shape[:1], n)
+        events, surv, gsum = kaplan_meier(table, work)
+        at_risk = work.at_risk[:, 1:]  # the sizes events_at_risk left there
         # event time j of a dataset, by event_grid's rule: an event's code holds its bin j + 1
         grid_times = np.zeros(status.shape)
         rep, row = np.nonzero(status == 1)

@@ -17,7 +17,7 @@ from proprisk import (
 )
 from proprisk.bootstrap import empirical_quantile, resample_rows
 from proprisk.nppr import fit_tables
-from proprisk.survival import event_grid, validate_dataset
+from proprisk.survival import Workspace, event_grid, validate_dataset
 
 from oracles import nppr_scalar
 
@@ -365,3 +365,29 @@ class TestWorkspacePipeline:
         data = _ties12()
         own = fit_tables(event_grid(data).table(_oracle_rows(7, 1000, len(data)))).beta
         assert 0 < np.isnan(own).sum() < 500
+
+
+class TestOneWorkspace:
+    """One workspace per bootstrap call: the guard's identity-table fit and
+    every chunk write into it, and the kernel's fit is that workspace."""
+
+    def test_one_allocation_per_call(self, monkeypatch):
+        calls = []
+        empty = Workspace.empty
+
+        def counting(lead, k):
+            calls.append((lead, k))
+            return empty(lead, k)
+
+        monkeypatch.setattr(proprisk.survival.Workspace, "empty", counting)
+        r = percentile_bootstrap(_trial(), BootstrapConfig())
+        assert r.n_effective > 0 and len(calls) == 1
+
+    def test_fit_is_the_workspace_it_filled(self):
+        data = _trial()
+        grid = event_grid(data)
+        work = Workspace.empty((4,), grid.event_times.shape[0])
+        table = grid.table(_oracle_rows(0, 3, len(data)))
+        fit = fit_tables(table, work)
+        assert isinstance(fit, Workspace) and np.shares_memory(fit.beta, work.beta)
+        assert fit.beta.tobytes() == fit_tables(table).beta.tobytes()

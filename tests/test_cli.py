@@ -9,6 +9,7 @@ from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import proprisk as pr
@@ -560,10 +561,12 @@ class TestPlotData:
         data = pr.read_dataset_csv(data_csv)
         res = pr.nppr_fit(data)
         _, out = run_cli("plotdata", "--data", data_csv, "--series", "cdf")
-        rows = list(csv.reader(io.StringIO(out)))[1:]
-        t, c1, c0 = (float(v) for v in rows[0])
-        assert t == res.event_times[0]
-        assert (c1, c0) == (res.cdf[0, 1], res.cdf[0, 0])
+        # floats are written as their repr, so every row round-trips exactly
+        table = np.array([[float(v) for v in row] for row in list(csv.reader(io.StringIO(out)))[1:]])
+        assert table.shape == (res.event_times.shape[0], 3)
+        assert table[:, 0].tobytes() == res.event_times.tobytes()
+        assert table[:, 1].tobytes() == res.cdf[:, 1].tobytes()
+        assert table[:, 2].tobytes() == res.cdf[:, 0].tobytes()
 
     def test_cdf_needs_no_nppr_window(self, tmp_path):
         # treatment's events all precede control's: the NPPR window is empty,

@@ -14,7 +14,7 @@ from proprisk.nppr import (
     nppr_point_estimate,
     pointwise_log_rr,
 )
-from proprisk.survival import kaplan_meier, validate_dataset
+from proprisk.survival import Workspace, kaplan_meier, validate_dataset
 
 from oracles import nppr_oracle
 
@@ -26,14 +26,16 @@ def _data(rows1, rows0):
 
 
 def _events(*columns):
-    """The events (B, K, 2) of per-table lists of (d0, d1) and their
-    Kaplan-Meier survival, the arguments of build_event_time_set. Each group
-    has one more row, censored at the last event time, so no risk set runs out."""
+    """The events (B, K, 2) of per-table lists of (d0, d1), their
+    Kaplan-Meier survival and a fresh workspace, the arguments of
+    build_event_time_set. Each group has one more row, censored at the last
+    event time, so no risk set runs out."""
     table = np.zeros((len(columns), len(columns[0]) + 1, 2, 2), dtype=np.int64)
     table[:, 1:, :, 1] = columns
     table[:, -1, :, 0] = 1
-    d, surv, _ = kaplan_meier(table)
-    return d, surv
+    b, k = len(columns), len(columns[0])
+    d, surv, _ = kaplan_meier(table, Workspace.empty((b,), k))
+    return d, surv, Workspace.empty((b,), k)
 
 
 class TestEventTimeSet:
@@ -78,7 +80,9 @@ class TestPointwise:
     def test_cumhaz_weight_formula(self):
         # F1 = F0 = 0.3 and a Greenwood sum of 0.0009/0.49 in each group
         g = 0.0009 / 0.49
-        beta_t, omega, usable = pointwise_log_rr(_surv((0.7, 0.7)), _surv((g, g)), np.array([[True]]))
+        beta_t, omega, usable = pointwise_log_rr(
+            _surv((0.7, 0.7)), _surv((g, g)), np.array([[True]]), Workspace.empty((1,), 1)
+        )
         np.testing.assert_allclose(omega, [[2 * g / 0.09]])
         np.testing.assert_array_equal(beta_t, [[0.0]])
         assert usable.all()
@@ -114,14 +118,18 @@ class TestPointEstimate:
         omega = np.array([[0.25, 0.5]] * 3)
         usable = np.array([[True, True], [True, True], [False, False]])
         m = np.array([[1, 1], [2, 1], [1, 1]])
-        beta, total = nppr_point_estimate(beta_t, omega, usable, m)
+        beta, total = nppr_point_estimate(beta_t, omega, usable, m, Workspace.empty((3,), 2))
         assert beta[0] == pytest.approx(2.0 / 3.0) and total[0] == pytest.approx(6.0)
         assert beta[1] == pytest.approx(0.6) and total[1] == pytest.approx(10.0)
         assert math.isnan(beta[2]) and total[2] == 0.0
 
     def test_null_effect(self):
         beta, _ = nppr_point_estimate(
-            np.zeros((1, 2)), np.array([[0.1, 0.4]]), np.ones((1, 2), dtype=bool), np.ones((1, 2))
+            np.zeros((1, 2)),
+            np.array([[0.1, 0.4]]),
+            np.ones((1, 2), dtype=bool),
+            np.ones((1, 2)),
+            Workspace.empty((1,), 2),
         )
         assert beta[0] == 0.0
 

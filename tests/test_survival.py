@@ -73,11 +73,12 @@ def _km(data, group=1):
     """One group's Kaplan-Meier curve on the dataset's shared event times."""
     grid = event_grid(data)
     table = grid.table()[None]
-    d, surv, gsum = kaplan_meier(table)
+    k = grid.event_times.shape[0]
+    d, surv, gsum = kaplan_meier(table, Workspace.empty((1,), k))
     return SimpleNamespace(
         event_times=grid.event_times,
         events=d[0, :, group],
-        at_risk=events_at_risk(table)[1][0, :, group],
+        at_risk=events_at_risk(table, Workspace.empty((1,), k))[1][0, :, group],
         survival=surv[0, :, group],
         cumhaz_var=gsum[0, :, group],
     )
@@ -264,9 +265,8 @@ class TestKaplanMeierBits:
     def test_equals_int_count_arithmetic(self, case, lead):
         tables = KM_TABLES[case]()
         table = tables[0] if lead == "scalar" else tables[:1] if lead == "one" else tables
-        work = None
+        work = Workspace.empty(table.shape[:-3], table.shape[-3] - 1)
         if lead == "reused_workspace":  # buffers left holding another batch's stages
-            work = Workspace.empty(tables.shape[:1], tables.shape[1] - 1)
             kaplan_meier(tables[::-1].copy(), work)
         d, surv, gsum = kaplan_meier(table, work)
         want_surv, want_gsum = km_int_counts(table)
@@ -276,7 +276,7 @@ class TestKaplanMeierBits:
 
     def test_cases_cover_exhaustion_padding_and_no_events(self):
         tiny, padded = KM_TABLES["tiny_tied"](), KM_TABLES["study_padded"]()
-        _, surv, gsum = kaplan_meier(tiny)
+        _, surv, gsum = kaplan_meier(tiny, Workspace.empty(tiny.shape[:1], tiny.shape[1] - 1))
         assert np.isinf(gsum).any() and (surv == 0.0).any()  # risk sets run out
         assert (surv[:, -1, :] == 1.0).any()  # a group without events
         rows = padded.sum(axis=(-1, -2))
@@ -297,7 +297,7 @@ def test_event_grid_counts_match_km(rows1, rows0):
     resamples = [Dataset.from_columns(data.time[r], data.status[r], data.group[r]) for r in rows]
     tables = [(data, grid.table())] + list(zip(resamples, grid.table(rows)))
     for sample, table in tables:
-        events, at_risk = events_at_risk(table)
+        events, at_risk = events_at_risk(table, Workspace.empty((), grid.event_times.shape[0]))
         assert events.sum() == sample.status.sum()
         for g in (0, 1):
             expected = km_oracle(list(zip(sample.time[sample.group == g], sample.status[sample.group == g])))
